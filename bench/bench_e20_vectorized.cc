@@ -16,6 +16,12 @@
 //      Evaluator with EvalOptions::vectorized off vs on: the user-visible
 //      payoff including plan glue and output materialization.
 //
+//   4. join_agg — the telephony join `Calls ⋈ Customer` for one month,
+//      grouped by Area_Code (MakeTelephonyWorkload with --rows calls and
+//      --rows/100 customers), through the Evaluator off vs on: row
+//      HashJoin and GroupAggregate over materialized rows vs the batched
+//      join over selection vectors (--min-join-speedup).
+//
 // Every iteration of every series is also an equivalence check: the two
 // arms' results are compared as multisets (exactly — the vectorized
 // aggregates accumulate in row order, so even SUM over DOUBLE must agree
@@ -31,9 +37,10 @@
 //   --min-scan-speedup=X   exit 1 if scan_filter speedup < X
 //                          (default: report only, never fail)
 //   --min-agg-speedup=X    exit 1 if aggregate speedup < X (default: off)
+//   --min-join-speedup=X   exit 1 if join_agg speedup < X (default: off)
 //
 // e.g. build/bench/bench_e20_vectorized --min-scan-speedup=3
-//          --json=bench/e20_vectorized.json
+//          --min-join-speedup=3 --json=bench/e20_vectorized.json
 
 #include <algorithm>
 #include <chrono>
@@ -53,6 +60,7 @@
 #include "exec/table.h"
 #include "exec/vectorized.h"
 #include "ir/builder.h"
+#include "workload/telephony.h"
 
 namespace aqv {
 namespace {
@@ -148,6 +156,7 @@ int main(int argc, char** argv) {
   std::string json_path = "e20_vectorized.json";
   double min_scan_speedup = -1.0;  // report only
   double min_agg_speedup = -1.0;
+  double min_join_speedup = -1.0;
 
   for (int i = 1; i < argc; ++i) {
     if (const char* v = aqv::FlagValue(argv[i], "--rows")) {
@@ -164,6 +173,8 @@ int main(int argc, char** argv) {
       min_scan_speedup = std::atof(v);
     } else if (const char* v = aqv::FlagValue(argv[i], "--min-agg-speedup")) {
       min_agg_speedup = std::atof(v);
+    } else if (const char* v = aqv::FlagValue(argv[i], "--min-join-speedup")) {
+      min_join_speedup = std::atof(v);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return 2;
@@ -209,7 +220,8 @@ int main(int argc, char** argv) {
                                        {aqv::AggFn::kCount, 1, -1},
                                        {aqv::AggFn::kSum, 2, -1}};
   aqv::VectorizedAggregation agg;
-  if (!aqv::VectorizedAggregation::Compile(ct, group_cols, aggs, &agg)) {
+  if (!aqv::VectorizedAggregation::Compile(aqv::RelationColumns::Of(ct),
+                                           group_cols, aggs, &agg)) {
     std::fprintf(stderr, "aggregation unexpectedly not vectorizable\n");
     return 2;
   }
@@ -230,8 +242,12 @@ int main(int argc, char** argv) {
                    row_out.size(), vec_out.size());
       return 1;
     }
-    aqv::DieIfNotEqual(aqv::ToTable(aqv::GatherRows(ct, vec_out), 3),
-                       aqv::ToTable(row_out, 3), "scan_filter");
+    aqv::DieIfNotEqual(
+        aqv::ToTable(aqv::GatherColumns(aqv::RelationColumns::Of(ct),
+                                        {vec_out.data()}, vec_out.size(),
+                                        {0, 1, 2}, nullptr),
+                     3),
+        aqv::ToTable(row_out, 3), "scan_filter");
   }
 
   // 2. aggregate: row-at-a-time grouping vs typed accumulation loops.
@@ -242,7 +258,7 @@ int main(int argc, char** argv) {
     aggregate.Run(
         reps,
         [&] { row_out = aqv::GroupAggregate(data, group_cols, aggs); },
-        [&] { vec_out = agg.Run(ct, nullptr, nullptr); });
+        [&] { vec_out = agg.Run({nullptr}, ct.num_rows(), nullptr); });
     int arity = 1 + static_cast<int>(aggs.size());
     aqv::DieIfNotEqual(aqv::ToTable(vec_out, arity),
                        aqv::ToTable(row_out, arity), "aggregate");
@@ -286,17 +302,64 @@ int main(int argc, char** argv) {
     aqv::DieIfNotEqual(vec_out, row_out, "query_e2e");
   }
 
+  // 4. join_agg: the telephony join through the Evaluator.
+  aqv::TelephonyParams params;
+  params.num_calls = rows;
+  params.num_customers = std::max(1, rows / 100);
+  params.seed = seed;
+  aqv::TelephonyWorkload warehouse = aqv::MakeTelephonyWorkload(params);
+  aqv::Query join_query =
+      aqv::QueryBuilder()
+          .From("Calls", {"Call_Id_1", "Cust_Id_1", "Plan_Id_1", "Day_1",
+                          "Month_1", "Year_1", "Charge_1"})
+          .From("Customer",
+                {"Cust_Id_2", "Cust_Name_2", "Area_Code_2", "Phone_Number_2"})
+          .Select("Area_Code_2")
+          .SelectAgg(aqv::AggFn::kSum, "Charge_1", "Spend")
+          .WhereCols("Cust_Id_1", aqv::CmpOp::kEq, "Cust_Id_2")
+          .WhereConst("Year_1", aqv::CmpOp::kEq,
+                      aqv::Value::Int64(params.first_year))
+          .WhereConst("Month_1", aqv::CmpOp::kEq, aqv::Value::Int64(3))
+          .GroupBy("Area_Code_2")
+          .BuildOrDie();
+  aqv::Series join;
+  {
+    aqv::Table row_out;
+    aqv::Table vec_out;
+    size_t vectorized_ops = 0;
+    join.Run(
+        reps,
+        [&] {
+          aqv::Evaluator eval(&warehouse.db, nullptr, row_options);
+          row_out = aqv::ValueOrDie(eval.Execute(join_query), "row join");
+        },
+        [&] {
+          aqv::Evaluator eval(&warehouse.db);
+          vec_out = aqv::ValueOrDie(eval.Execute(join_query), "vec join");
+          vectorized_ops = eval.stats().vectorized_ops;
+        });
+    // Scans, the join and the aggregation must all have run batched.
+    if (vectorized_ops < 4) {
+      std::fprintf(stderr, "join_agg did not engage the batched join\n");
+      return 1;
+    }
+    aqv::DieIfNotEqual(vec_out, row_out, "join_agg");
+  }
+
   std::fprintf(stderr,
                "scan_filter: row=%.0fus vec=%.0fus speedup=%.1fx\n"
                "aggregate:   row=%.0fus vec=%.0fus speedup=%.1fx\n"
-               "query_e2e:   row=%.0fus vec=%.0fus speedup=%.1fx\n",
+               "query_e2e:   row=%.0fus vec=%.0fus speedup=%.1fx\n"
+               "join_agg:    row=%.0fus vec=%.0fus speedup=%.1fx\n",
                scan.row_median, scan.vec_median, scan.speedup,
                aggregate.row_median, aggregate.vec_median, aggregate.speedup,
-               e2e.row_median, e2e.vec_median, e2e.speedup);
+               e2e.row_median, e2e.vec_median, e2e.speedup, join.row_median,
+               join.vec_median, join.speedup);
 
   bool pass = (min_scan_speedup < 0 || scan.speedup >= min_scan_speedup) &&
-              (min_agg_speedup < 0 || aggregate.speedup >= min_agg_speedup);
-  char json[4096];
+              (min_agg_speedup < 0 || aggregate.speedup >= min_agg_speedup) &&
+              (min_join_speedup < 0 || join.speedup >= min_join_speedup);
+  char json[8192];
   std::snprintf(
       json, sizeof(json),
       "{\n"
@@ -314,8 +377,15 @@ int main(int argc, char** argv) {
       "  \"query_e2e\": {\"row_median_micros\": %.0f,\n"
       "                 \"vec_median_micros\": %.0f,\n"
       "                 \"speedup\": %.2f},\n"
+      "  \"join_agg\": {\"calls\": %d, \"customers\": %d,\n"
+      "                \"row_micros\": %s,\n"
+      "                \"vec_micros\": %s,\n"
+      "                \"row_median_micros\": %.0f,\n"
+      "                \"vec_median_micros\": %.0f,\n"
+      "                \"speedup\": %.2f},\n"
       "  \"equivalence_checked\": true,\n"
       "  \"min_scan_speedup\": %.1f,\n"
+      "  \"min_join_speedup\": %.1f,\n"
       "  \"pass\": %s\n"
       "}\n",
       rows, groups, reps, static_cast<unsigned long long>(seed),
@@ -323,7 +393,11 @@ int main(int argc, char** argv) {
       aqv::JsonList(scan.vec_micros).c_str(), scan.row_median,
       scan.vec_median, scan.speedup, aggregate.row_median,
       aggregate.vec_median, aggregate.speedup, e2e.row_median, e2e.vec_median,
-      e2e.speedup, min_scan_speedup, pass ? "true" : "false");
+      e2e.speedup, params.num_calls, params.num_customers,
+      aqv::JsonList(join.row_micros).c_str(),
+      aqv::JsonList(join.vec_micros).c_str(), join.row_median,
+      join.vec_median, join.speedup, min_scan_speedup, min_join_speedup,
+      pass ? "true" : "false");
   std::fputs(json, stdout);
   std::ofstream out(json_path, std::ios::trunc);
   if (out) {
@@ -334,8 +408,10 @@ int main(int argc, char** argv) {
 
   if (!pass) {
     std::fprintf(stderr,
-                 "FAIL: speedup below gate (scan %.2fx vs %.1fx required)\n",
-                 scan.speedup, min_scan_speedup);
+                 "FAIL: speedup below gate (scan %.2fx vs %.1fx, aggregate "
+                 "%.2fx vs %.1fx, join %.2fx vs %.1fx required)\n",
+                 scan.speedup, min_scan_speedup, aggregate.speedup,
+                 min_agg_speedup, join.speedup, min_join_speedup);
     return 1;
   }
   return 0;

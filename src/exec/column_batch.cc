@@ -137,9 +137,4 @@ ColumnarTable ColumnarTable::FromRows(const std::vector<Row>& rows,
   return out;
 }
 
-void ColumnarTable::AppendRowTo(size_t row, Row* out) const {
-  out->reserve(out->size() + cols_.size());
-  for (const Column& c : cols_) out->push_back(c.ValueAt(row));
-}
-
 }  // namespace aqv

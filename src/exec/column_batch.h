@@ -82,9 +82,6 @@ class ColumnarTable {
 
   Value ValueAt(int column, size_t row) const { return col(column).ValueAt(row); }
 
-  /// Reconstructs full row `row` (all columns, schema order) into `*out`.
-  void AppendRowTo(size_t row, Row* out) const;
-
  private:
   size_t num_rows_ = 0;
   std::vector<Column> cols_;

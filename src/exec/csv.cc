@@ -1,6 +1,7 @@
 #include "exec/csv.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -107,7 +108,9 @@ bool NextRecord(std::string_view text, size_t* pos,
   return true;
 }
 
-Value ParseField(const std::string& field, bool was_quoted) {
+/// An unquoted field that reads as an infinite or NaN number ("inf",
+/// "nan", "1e999") is refused: no column holds such a value faithfully.
+Result<Value> ParseField(const std::string& field, bool was_quoted) {
   if (was_quoted) return Value::String(field);
   if (field.empty()) return Value::Null();
   errno = 0;
@@ -118,8 +121,11 @@ Value ParseField(const std::string& field, bool was_quoted) {
   }
   errno = 0;
   double as_double = std::strtod(field.c_str(), &end);
-  if (errno == 0 && end != nullptr && *end == '\0') {
-    return Value::Double(as_double);
+  if (end != nullptr && end != field.c_str() && *end == '\0') {
+    if (!std::isfinite(as_double)) {
+      return Status::InvalidArgument("non-finite number '" + field + "'");
+    }
+    if (errno == 0) return Value::Double(as_double);
   }
   return Value::String(field);
 }
@@ -179,7 +185,13 @@ Result<Table> FromCsv(std::string_view text) {
     Row row;
     row.reserve(fields.size());
     for (size_t i = 0; i < fields.size(); ++i) {
-      row.push_back(ParseField(fields[i], quoted[i]));
+      Result<Value> v = ParseField(fields[i], quoted[i]);
+      if (!v.ok()) {
+        return Status::InvalidArgument("CSV record " + std::to_string(line) +
+                                       ", field " + std::to_string(i + 1) +
+                                       ": " + v.status().message());
+      }
+      row.push_back(*std::move(v));
     }
     AQV_RETURN_NOT_OK(table.AddRow(std::move(row)));
   }

@@ -105,6 +105,190 @@ Result<Table> Evaluator::MaterializeView(const std::string& name) {
   return *t;
 }
 
+/// Times the operators of one query block into the attached PlanProfile.
+/// Every method is a no-op when profiling is off (no profile attached, or
+/// a nested block), so an unprofiled Execute pays no clock reads and builds
+/// no labels.
+class Evaluator::OpClock {
+ public:
+  explicit OpClock(PlanProfile* profile) : profile_(profile) {}
+
+  bool on() const { return profile_ != nullptr; }
+  void Begin() {
+    if (on()) start_ = ProfClock::now();
+  }
+  uint64_t Elapsed() const { return on() ? MicrosSince(start_) : 0; }
+
+  /// Records the operator begun last; `label` is called only when on.
+  template <typename Label>
+  void End(Label&& label, size_t rows_in, size_t rows_out) {
+    if (on()) Add(label(), rows_in, rows_out, MicrosSince(start_));
+  }
+  void Add(std::string label, size_t rows_in, size_t rows_out,
+           uint64_t micros) {
+    profile_->ops.push_back(
+        OperatorProfile{std::move(label), rows_in, rows_out, micros});
+  }
+
+ private:
+  PlanProfile* profile_;
+  ProfClock::time_point start_;
+};
+
+namespace {
+
+/// Mirrors explain_plan's describe_input: table name, stored cardinality
+/// (the cost model's input estimate), pushed-down filter.
+std::string InputLabel(const Query& query, const Table& input, size_t t,
+                       const std::vector<Predicate>& filters) {
+  std::string s =
+      query.from[t].table + " [" + std::to_string(input.num_rows()) + " rows]";
+  if (!filters.empty()) s += " filter(" + PredicateList(filters) + ")";
+  return s;
+}
+
+std::string AggLabel(const Query& query, bool vectorized) {
+  std::vector<std::string> aggs;
+  for (const Operand& term : query.AggregateTerms()) {
+    aggs.push_back(term.ToString());
+  }
+  return "HashAggregate(groups: " +
+         (query.group_by.empty() ? std::string("<global>")
+                                 : Join(query.group_by, ", ")) +
+         "; aggregates: " + Join(aggs, ", ") + ")" +
+         (vectorized ? " [vec]" : "");
+}
+
+std::string SelectLabel(const Query& query) {
+  std::vector<std::string> items;
+  for (const SelectItem& s : query.select) items.push_back(s.ToString());
+  return std::string(query.distinct ? "ProjectDistinct(" : "Project(") +
+         Join(items, ", ") + ")";
+}
+
+/// True if the equi-join edges connect all `n` FROM entries, i.e. the
+/// greedy join order never needs a Cartesian step.
+bool JoinGraphConnected(
+    size_t n, const std::vector<PredicateClassification::JoinEdge>& edges) {
+  std::vector<bool> reached(n, false);
+  std::vector<int> stack{0};
+  reached[0] = true;
+  size_t count = 1;
+  while (!stack.empty()) {
+    int t = stack.back();
+    stack.pop_back();
+    for (const auto& e : edges) {
+      int other = e.left_table == t ? e.right_table
+                  : e.right_table == t ? e.left_table
+                                       : -1;
+      if (other >= 0 && !reached[static_cast<size_t>(other)]) {
+        reached[static_cast<size_t>(other)] = true;
+        ++count;
+        stack.push_back(other);
+      }
+    }
+  }
+  return count == n;
+}
+
+/// Aggregate specs of `query` with columns resolved through `layout`.
+std::vector<AggSpec> AggSpecs(const Query& query,
+                              const ColumnIndexMap& layout) {
+  std::vector<AggSpec> specs;
+  for (const Operand& term : query.AggregateTerms()) {
+    int mult = term.multiplier.empty() ? -1 : layout.at(term.multiplier);
+    specs.push_back(AggSpec{term.agg, layout.at(term.column), mult});
+  }
+  return specs;
+}
+
+std::vector<int> Ordinals(const std::vector<std::string>& columns,
+                          const ColumnIndexMap& layout) {
+  std::vector<int> out;
+  out.reserve(columns.size());
+  for (const std::string& c : columns) out.push_back(layout.at(c));
+  return out;
+}
+
+std::vector<int> SelectOrdinals(const Query& query,
+                                const ColumnIndexMap& layout) {
+  std::vector<int> out;
+  out.reserve(query.select.size());
+  for (const SelectItem& s : query.select) out.push_back(layout.at(s.column));
+  return out;
+}
+
+/// One equi edge consumed by a join step.
+struct JoinKeyNames {
+  std::string bound;  // column of an input already joined
+  std::string added;  // column of the input being joined
+  std::string edge;   // "left = right" as written, for the profile label
+};
+
+/// The unused equi edges connecting `t` to the bound inputs, marked used.
+std::vector<JoinKeyNames> TakeJoinKeys(const PredicateClassification& cls,
+                                       int t, const std::vector<bool>& bound,
+                                       std::vector<bool>* edge_used) {
+  std::vector<JoinKeyNames> keys;
+  for (size_t k = 0; k < cls.equi_joins.size(); ++k) {
+    if ((*edge_used)[k]) continue;
+    const auto& e = cls.equi_joins[k];
+    std::string edge = e.left_column + " = " + e.right_column;
+    if (e.left_table == t && bound[static_cast<size_t>(e.right_table)]) {
+      keys.push_back({e.right_column, e.left_column, std::move(edge)});
+    } else if (e.right_table == t && bound[static_cast<size_t>(e.left_table)]) {
+      keys.push_back({e.left_column, e.right_column, std::move(edge)});
+    } else {
+      continue;
+    }
+    (*edge_used)[k] = true;
+  }
+  return keys;
+}
+
+std::string JoinLabel(const std::vector<JoinKeyNames>& keys) {
+  std::vector<std::string> parts;
+  for (const JoinKeyNames& k : keys) parts.push_back(k.edge);
+  return "HashJoin(" + Join(parts, ", ") + ")";
+}
+
+/// The multi-table conjuncts whose columns are all bound, marked applied.
+std::vector<Predicate> TakeReadyPredicates(const Query& query,
+                                           const PredicateClassification& cls,
+                                           const std::vector<bool>& bound,
+                                           std::vector<bool>* applied) {
+  std::vector<Predicate> ready;
+  for (size_t k = 0; k < cls.multi_table.size(); ++k) {
+    if ((*applied)[k]) continue;
+    bool all_bound = true;
+    for (const std::string& c : cls.multi_table[k].ReferencedColumns()) {
+      auto loc = query.FindColumn(c);
+      if (loc && !bound[loc->first]) all_bound = false;
+    }
+    if (all_bound) {
+      ready.push_back(cls.multi_table[k]);
+      (*applied)[k] = true;
+    }
+  }
+  return ready;
+}
+
+/// Equi edges no join consumed (two inputs already joined through a third
+/// path), as residual equality filters.
+std::vector<Predicate> LeftoverEquiJoins(const PredicateClassification& cls,
+                                         const std::vector<bool>& edge_used) {
+  std::vector<Predicate> leftover;
+  for (size_t k = 0; k < cls.equi_joins.size(); ++k) {
+    if (edge_used[k]) continue;
+    const auto& e = cls.equi_joins[k];
+    leftover.push_back(Predicate{Operand::Column(e.left_column), CmpOp::kEq,
+                                 Operand::Column(e.right_column)});
+  }
+  return leftover;
+}
+
+}  // namespace
+
 Result<Table> Evaluator::ExecuteInternal(const Query& query, int depth) {
   AQV_FAILPOINT("exec.operator");
   if (ctx_ != nullptr && !ctx_->CheckNow()) return ctx_->status();
@@ -124,332 +308,28 @@ Result<Table> Evaluator::ExecuteInternal(const Query& query, int depth) {
     }
   }
 
-  auto note_rows = [this](size_t rows) {
-    stats_.peak_intermediate_rows = std::max(stats_.peak_intermediate_rows, rows);
-  };
+  // Profiling applies to the top-level block only.
+  OpClock clock(profile_ != nullptr && depth == 0 ? profile_ : nullptr);
 
-  // Profiling applies to the top-level block only; `prof` gates every clock
-  // read and label construction so an unprofiled Execute pays nothing.
-  const bool prof = (profile_ != nullptr && depth == 0);
-  ProfClock::time_point op_start;
-  auto op_begin = [&]() {
-    if (prof) op_start = ProfClock::now();
-  };
-  auto op_end = [&](std::string label, size_t rows_in, size_t rows_out) {
-    if (prof) {
-      profile_->ops.push_back(OperatorProfile{std::move(label), rows_in,
-                                              rows_out, MicrosSince(op_start)});
-    }
-  };
-  // Mirrors explain_plan's describe_input: table name, stored cardinality
-  // (the cost model's input estimate), pushed-down filter.
-  auto input_label = [&](size_t t, const std::vector<Predicate>& filters) {
-    std::string s = query.from[t].table + " [" +
-                    std::to_string(inputs[t]->num_rows()) + " rows]";
-    if (!filters.empty()) s += " filter(" + PredicateList(filters) + ")";
-    return s;
-  };
-
-  // ---- Join phase: produce `joined` rows under `layout`. ----
-  std::vector<Row> joined;
-  ColumnIndexMap layout;
-
-  // The Cartesian reference plan is the executable specification tests
-  // compare everything against, so it stays pure row-at-a-time.
-  const bool vec = options_.vectorized && options_.use_hash_join;
-
-  // Aggregation output; the columnar fast path below can produce it
-  // directly from the table's cached columnar image, in which case the join
-  // phase and row-based aggregation are skipped entirely.
-  std::vector<Row> grouped;
-  bool grouped_ready = false;
-  std::vector<Operand> agg_terms = query.AggregateTerms();
-  auto agg_label = [&](bool vectorized) {
-    std::vector<std::string> aggs;
-    for (const Operand& term : agg_terms) aggs.push_back(term.ToString());
-    return "HashAggregate(groups: " +
-           (query.group_by.empty() ? std::string("<global>")
-                                   : Join(query.group_by, ", ")) +
-           "; aggregates: " + Join(aggs, ", ") + ")" +
-           (vectorized ? " [vec]" : "");
-  };
-
-  // ---- Columnar fast path: single-table aggregation runs scan + filter +
-  // hash-group entirely over typed column arrays (selection vectors instead
-  // of materialized rows). Falls through to the row engine whenever the
-  // compiled operators cannot reproduce its semantics exactly.
-  if (vec && n == 1 && !query.IsConjunctive()) {
-    PredicateClassification cls = ClassifyPredicates(query);
-    if (cls.multi_table.empty() && cls.equi_joins.empty()) {
-      ColumnIndexMap scan_layout;
-      for (size_t j = 0; j < query.from[0].columns.size(); ++j) {
-        scan_layout[query.from[0].columns[j]] = static_cast<int>(j);
-      }
-      std::vector<int> group_ordinals;
-      group_ordinals.reserve(query.group_by.size());
-      for (const std::string& g : query.group_by) {
-        group_ordinals.push_back(scan_layout.at(g));
-      }
-      std::vector<AggSpec> specs;
-      specs.reserve(agg_terms.size());
-      for (const Operand& term : agg_terms) {
-        int mult =
-            term.multiplier.empty() ? -1 : scan_layout.at(term.multiplier);
-        specs.push_back(AggSpec{term.agg, scan_layout.at(term.column), mult});
-      }
-      const ColumnarTable& ct = inputs[0]->columnar();
-      const std::vector<Predicate>& filters = cls.single_table[0];
-      CompiledFilter filter;
-      VectorizedAggregation agg;
-      if (CompiledFilter::Compile(filters, scan_layout, ct, &filter) &&
-          VectorizedAggregation::Compile(ct, group_ordinals, specs, &agg)) {
-        op_begin();
-        SelVector sel;
-        const bool use_sel = !filters.empty();
-        if (use_sel) sel = filter.Run(ct, ctx_);
-        size_t scanned = use_sel ? sel.size() : ct.num_rows();
-        op_end("Scan " + input_label(0, filters) + " [vec]",
-               inputs[0]->num_rows(), scanned);
-        note_rows(scanned);
-        op_begin();
-        grouped = agg.Run(ct, use_sel ? &sel : nullptr, ctx_);
-        op_end(agg_label(true), scanned, grouped.size());
-        note_rows(grouped.size());
-        stats_.vectorized_ops += 2;
-        grouped_ready = true;
-      }
-    }
+  // Conjunctive queries: the projected (DISTINCT-applied) output rows;
+  // aggregate queries: the grouped rows [group values..., aggregates...].
+  std::vector<Row> rows;
+  bool batched = false;
+  if (options_.vectorized && options_.use_hash_join) {
+    AQV_ASSIGN_OR_RETURN(batched, ExecuteBatched(query, inputs, clock, &rows));
   }
-
-  if (grouped_ready) {
-    // Join phase skipped: aggregation came straight off the columnar image.
-  } else if (!options_.use_hash_join) {
-    // Reference plan: Cartesian product in FROM order, then filter.
-    int offset = 0;
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < query.from[i].columns.size(); ++j) {
-        layout[query.from[i].columns[j]] = offset++;
-      }
-      op_begin();
-      if (i == 0) {
-        joined = inputs[0]->rows();
-        op_end("Scan " + input_label(0, {}), inputs[0]->num_rows(),
-               joined.size());
-      } else {
-        size_t before = joined.size();
-        joined = CartesianProduct(joined, inputs[i]->rows(), ctx_);
-        op_end("CartesianProduct with " + input_label(i, {}), before,
-               joined.size());
-      }
-      note_rows(joined.size());
-    }
-    op_begin();
-    size_t before = joined.size();
-    joined = FilterRows(joined, query.where, layout, ctx_);
-    if (!query.where.empty()) {
-      op_end("Filter(" + PredicateList(query.where) + ")", before,
-             joined.size());
-    }
-  } else {
-    PredicateClassification cls = ClassifyPredicates(query);
-
-    // Per-input filtered scans: vectorized (filter over the columnar image,
-    // then gather the survivors) when every predicate compiles, row engine
-    // otherwise. Both charge one row per stored row, so governance
-    // accounting is engine-independent.
-    std::vector<std::vector<Row>> scans(n);
-    std::vector<uint64_t> scan_micros(n, 0);
-    std::vector<bool> scan_vec(n, false);
-    for (size_t i = 0; i < n; ++i) {
-      ColumnIndexMap scan_layout;
-      for (size_t j = 0; j < query.from[i].columns.size(); ++j) {
-        scan_layout[query.from[i].columns[j]] = static_cast<int>(j);
-      }
-      op_begin();
-      if (vec && !cls.single_table[i].empty()) {
-        const ColumnarTable& ct = inputs[i]->columnar();
-        CompiledFilter filter;
-        if (CompiledFilter::Compile(cls.single_table[i], scan_layout, ct,
-                                    &filter)) {
-          scans[i] = GatherRows(ct, filter.Run(ct, ctx_));
-          scan_vec[i] = true;
-          ++stats_.vectorized_ops;
-        }
-      }
-      if (!scan_vec[i]) {
-        scans[i] = FilterRows(inputs[i]->rows(), cls.single_table[i],
-                              scan_layout, ctx_);
-      }
-      if (prof) scan_micros[i] = MicrosSince(op_start);
-    }
-
-    std::vector<size_t> sizes(n);
-    for (size_t i = 0; i < n; ++i) sizes[i] = scans[i].size();
-    std::vector<int> order = GreedyJoinOrder(sizes, cls.equi_joins);
-
-    std::vector<bool> bound(n, false);
-    std::vector<bool> edge_used(cls.equi_joins.size(), false);
-    std::vector<bool> multi_applied(cls.multi_table.size(), false);
-
-    auto apply_ready_multi = [&]() {
-      std::vector<Predicate> ready;
-      for (size_t k = 0; k < cls.multi_table.size(); ++k) {
-        if (multi_applied[k]) continue;
-        bool all_bound = true;
-        for (const std::string& c : cls.multi_table[k].ReferencedColumns()) {
-          auto loc = query.FindColumn(c);
-          if (loc && !bound[loc->first]) all_bound = false;
-        }
-        if (all_bound) {
-          ready.push_back(cls.multi_table[k]);
-          multi_applied[k] = true;
-        }
-      }
-      if (!ready.empty()) {
-        op_begin();
-        size_t before = joined.size();
-        joined = FilterRows(joined, ready, layout, ctx_);
-        op_end("Filter(" + PredicateList(ready) + ")", before, joined.size());
-      }
-    };
-
-    for (size_t step = 0; step < order.size(); ++step) {
-      int t = order[step];
-      // The input's filtered scan, with its stored cardinality (= the cost
-      // model's estimate) in the label and the scan actuals measured above.
-      if (prof) {
-        profile_->ops.push_back(OperatorProfile{
-            "Scan " + input_label(t, cls.single_table[t]) +
-                (scan_vec[t] ? " [vec]" : ""),
-            inputs[t]->num_rows(), scans[t].size(), scan_micros[t]});
-      }
-      if (step == 0) {
-        joined = scans[t];
-        for (size_t j = 0; j < query.from[t].columns.size(); ++j) {
-          layout[query.from[t].columns[j]] = static_cast<int>(j);
-        }
-        bound[t] = true;
-        note_rows(joined.size());
-        apply_ready_multi();
-        continue;
-      }
-
-      // Keys: every unused equi edge connecting t to the bound set.
-      std::vector<std::pair<int, int>> keys;  // (joined ordinal, scan ordinal)
-      std::vector<std::string> key_names;
-      for (size_t k = 0; k < cls.equi_joins.size(); ++k) {
-        if (edge_used[k]) continue;
-        const auto& e = cls.equi_joins[k];
-        std::string bound_col, new_col;
-        if (e.left_table == t && bound[e.right_table]) {
-          new_col = e.left_column;
-          bound_col = e.right_column;
-        } else if (e.right_table == t && bound[e.left_table]) {
-          new_col = e.right_column;
-          bound_col = e.left_column;
-        } else {
-          continue;
-        }
-        auto loc = query.FindColumn(new_col);
-        keys.emplace_back(layout.at(bound_col), loc->second);
-        edge_used[k] = true;
-        if (prof) key_names.push_back(e.left_column + " = " + e.right_column);
-      }
-
-      op_begin();
-      size_t before = joined.size();
-      if (keys.empty()) {
-        joined = CartesianProduct(joined, scans[t], ctx_);
-        op_end("CartesianProduct with " + query.from[t].table, before,
-               joined.size());
-      } else {
-        joined = HashJoin(joined, scans[t], keys, ctx_);
-        op_end("HashJoin(" + Join(key_names, ", ") + ") with " +
-                   query.from[t].table,
-               before, joined.size());
-      }
-      int offset = static_cast<int>(layout.size());
-      for (size_t j = 0; j < query.from[t].columns.size(); ++j) {
-        layout[query.from[t].columns[j]] = offset + static_cast<int>(j);
-      }
-      bound[t] = true;
-      note_rows(joined.size());
-      apply_ready_multi();
-    }
-
-    // Equi edges between two tables joined through a third path may remain:
-    // apply them as residual filters.
-    std::vector<Predicate> leftover;
-    for (size_t k = 0; k < cls.equi_joins.size(); ++k) {
-      if (edge_used[k]) continue;
-      const auto& e = cls.equi_joins[k];
-      leftover.push_back(Predicate{Operand::Column(e.left_column), CmpOp::kEq,
-                                   Operand::Column(e.right_column)});
-    }
-    if (!leftover.empty()) {
-      op_begin();
-      size_t before = joined.size();
-      joined = FilterRows(joined, leftover, layout, ctx_);
-      op_end("Filter(" + PredicateList(leftover) + ")", before, joined.size());
-    }
-  }
-
-  // A tripped limit leaves partial join output; discard it and surface the
-  // violation rather than aggregating over truncated input.
+  if (!batched) AQV_RETURN_NOT_OK(ExecuteRows(query, inputs, clock, &rows));
+  // A tripped limit leaves partial output; discard it and surface the
+  // violation.
   if (ctx_ != nullptr && !ctx_->ok()) return ctx_->status();
 
-  // ---- Projection / aggregation phase. ----
   Table out(query.OutputColumns());
-
-  auto select_label = [&]() {
-    std::vector<std::string> items;
-    for (const SelectItem& s : query.select) items.push_back(s.ToString());
-    return std::string(query.distinct ? "ProjectDistinct(" : "Project(") +
-           Join(items, ", ") + ")";
-  };
-
   if (query.IsConjunctive()) {
-    std::vector<int> ordinals;
-    ordinals.reserve(query.select.size());
-    for (const SelectItem& s : query.select) {
-      ordinals.push_back(layout.at(s.column));
-    }
-    op_begin();
-    size_t proj_in = joined.size();
-    std::vector<Row> rows = ProjectRows(joined, ordinals, ctx_);
-    if (query.distinct) rows = DistinctRows(rows, ctx_);
-    op_end(select_label(), proj_in, rows.size());
-    if (ctx_ != nullptr && !ctx_->ok()) return ctx_->status();
     *out.mutable_rows() = std::move(rows);
     return out;
   }
-
-  // Grouped/aggregated query (post-join path; the columnar fast path above
-  // may already have produced `grouped`).
-  if (!grouped_ready) {
-    std::vector<int> group_ordinals;
-    group_ordinals.reserve(query.group_by.size());
-    for (const std::string& g : query.group_by) {
-      group_ordinals.push_back(layout.at(g));
-    }
-
-    std::vector<AggSpec> specs;
-    specs.reserve(agg_terms.size());
-    for (const Operand& term : agg_terms) {
-      int mult = term.multiplier.empty() ? -1 : layout.at(term.multiplier);
-      specs.push_back(AggSpec{term.agg, layout.at(term.column), mult});
-    }
-
-    op_begin();
-    size_t agg_in = joined.size();
-    bool vec_agg = false;
-    grouped = vec ? VectorizedGroupAggregateRows(joined, group_ordinals, specs,
-                                                 ctx_, &vec_agg)
-                  : GroupAggregate(joined, group_ordinals, specs, ctx_);
-    if (vec_agg) ++stats_.vectorized_ops;
-    if (prof) op_end(agg_label(vec_agg), agg_in, grouped.size());
-    note_rows(grouped.size());
-  }
+  std::vector<Row>& grouped = rows;
+  std::vector<Operand> agg_terms = query.AggregateTerms();
 
   // Layout of the grouped rows: grouping columns then one synthetic column
   // per aggregate term.
@@ -485,23 +365,24 @@ Result<Table> Evaluator::ExecuteInternal(const Query& query, int depth) {
       }
       having.push_back(std::move(p));
     }
-    op_begin();
+    clock.Begin();
     size_t having_in = grouped.size();
     grouped = FilterRows(grouped, having, group_layout, ctx_);
-    if (prof) {
-      std::vector<std::string> conds;
-      for (const Predicate& p : query.having) conds.push_back(p.ToString());
-      op_end("Having(" + Join(conds, " AND ") + ")", having_in,
-             grouped.size());
-    }
+    clock.End(
+        [&] {
+          std::vector<std::string> conds;
+          for (const Predicate& p : query.having) conds.push_back(p.ToString());
+          return "Having(" + Join(conds, " AND ") + ")";
+        },
+        having_in, grouped.size());
   }
 
   // Final projection. Ratio items divide two SUM positions, so this is a
   // custom loop rather than ProjectRows.
-  op_begin();
+  clock.Begin();
   size_t proj_in = grouped.size();
-  std::vector<Row> rows;
-  rows.reserve(grouped.size());
+  std::vector<Row> projected_rows;
+  projected_rows.reserve(grouped.size());
   for (const Row& g : grouped) {
     if (ctx_ != nullptr && !ctx_->TickRows()) break;
     Row projected;
@@ -530,13 +411,295 @@ Result<Table> Evaluator::ExecuteInternal(const Query& query, int depth) {
         }
       }
     }
-    rows.push_back(std::move(projected));
+    projected_rows.push_back(std::move(projected));
   }
-  if (query.distinct) rows = DistinctRows(rows, ctx_);
-  op_end(select_label(), proj_in, rows.size());
+  if (query.distinct) projected_rows = DistinctRows(projected_rows, ctx_);
+  clock.End([&] { return SelectLabel(query); }, proj_in, projected_rows.size());
   if (ctx_ != nullptr && !ctx_->ok()) return ctx_->status();
-  *out.mutable_rows() = std::move(rows);
+  *out.mutable_rows() = std::move(projected_rows);
   return out;
+}
+
+Result<bool> Evaluator::ExecuteBatched(const Query& query,
+                                       const std::vector<const Table*>& inputs,
+                                       OpClock& clock, std::vector<Row>* out) {
+  const size_t n = query.from.size();
+  const bool conjunctive = query.IsConjunctive();
+  // A bare projection of one table has nothing to batch: skip the pivot.
+  if (n == 1 && conjunctive && query.where.empty()) return false;
+  PredicateClassification cls = ClassifyPredicates(query);
+  // A disconnected join graph needs a Cartesian step: row engine.
+  if (!JoinGraphConnected(n, cls.equi_joins)) return false;
+
+  // The relation's columns: every input's columnar image, in FROM order.
+  std::vector<const ColumnarTable*> images(n);
+  RelationColumns rel;
+  ColumnIndexMap layout;
+  for (size_t t = 0; t < n; ++t) {
+    images[t] = &inputs[t]->columnar();
+    const int offset = static_cast<int>(rel.cols.size());
+    rel.Add(*images[t], static_cast<int>(t));
+    for (size_t j = 0; j < query.from[t].columns.size(); ++j) {
+      layout[query.from[t].columns[j]] = offset + static_cast<int>(j);
+    }
+  }
+
+  // Compile everything before running anything, so an operator without a
+  // batched form (a kMixed column, >4 grouping keys, SUM over strings)
+  // sends the whole block to the row engine untouched.
+  auto typed = [&](const std::string& c) {
+    auto it = layout.find(c);
+    return it == layout.end() ||
+           rel.cols[static_cast<size_t>(it->second)]->type !=
+               ColumnType::kMixed;
+  };
+  for (const auto& e : cls.equi_joins) {
+    if (!typed(e.left_column) || !typed(e.right_column)) return false;
+  }
+  for (const Predicate& p : cls.multi_table) {
+    for (const std::string& c : p.ReferencedColumns()) {
+      if (!typed(c)) return false;
+    }
+  }
+  std::vector<CompiledFilter> filters(n);
+  for (size_t t = 0; t < n; ++t) {
+    ColumnIndexMap scan_layout;
+    for (size_t j = 0; j < query.from[t].columns.size(); ++j) {
+      scan_layout[query.from[t].columns[j]] = static_cast<int>(j);
+    }
+    if (!CompiledFilter::Compile(cls.single_table[t], scan_layout, *images[t],
+                                 &filters[t])) {
+      return false;
+    }
+  }
+  VectorizedAggregation agg;
+  if (!conjunctive &&
+      !VectorizedAggregation::Compile(rel, Ordinals(query.group_by, layout),
+                                      AggSpecs(query, layout), &agg)) {
+    return false;
+  }
+
+  // ---- Filtered scans: one selection vector per input. An unfiltered
+  // single input is read in place, without an identity selection.
+  const bool read_all = n == 1 && filters[0].empty();
+  std::vector<SelVector> sels(n);
+  std::vector<size_t> sizes(n);
+  std::vector<uint64_t> scan_micros(n, 0);
+  for (size_t t = 0; t < n; ++t) {
+    clock.Begin();
+    if (!read_all) sels[t] = filters[t].Run(*images[t], ctx_);
+    sizes[t] = read_all ? images[t]->num_rows() : sels[t].size();
+    scan_micros[t] = clock.Elapsed();
+    ++stats_.vectorized_ops;
+  }
+  if (ctx_ != nullptr && !ctx_->ok()) return ctx_->status();
+
+  // ---- Join: the row engine's greedy order and build sides, over row ids.
+  std::vector<int> order = GreedyJoinOrder(sizes, cls.equi_joins);
+  JoinIndex index(n);
+  std::vector<bool> bound(n, false);
+  std::vector<bool> edge_used(cls.equi_joins.size(), false);
+  std::vector<bool> multi_applied(cls.multi_table.size(), false);
+  auto filter_index = [&](const std::vector<Predicate>& preds) -> Status {
+    if (preds.empty()) return Status::OK();
+    CompiledFilter f;
+    if (!CompiledFilter::Compile(preds, layout, rel, &f)) {
+      return Status::Internal("join filter did not compile: " +
+                              PredicateList(preds));
+    }
+    clock.Begin();
+    size_t before = index.size();
+    index.Filter(f, ctx_);
+    clock.End([&] { return "Filter(" + PredicateList(preds) + ") [vec]"; },
+              before, index.size());
+    ++stats_.vectorized_ops;
+    return Status::OK();
+  };
+
+  for (size_t step = 0; step < order.size(); ++step) {
+    const int t = order[step];
+    const size_t tu = static_cast<size_t>(t);
+    if (clock.on()) {
+      clock.Add("Scan " +
+                    InputLabel(query, *inputs[tu], tu, cls.single_table[tu]) +
+                    " [vec]",
+                inputs[tu]->num_rows(), sizes[tu], scan_micros[tu]);
+    }
+    if (step == 0) {
+      if (read_all) {
+        index.SeedAll(t, sizes[tu]);
+      } else {
+        index.Seed(t, std::move(sels[tu]));
+      }
+    } else {
+      auto keys = TakeJoinKeys(cls, t, bound, &edge_used);
+      std::vector<std::pair<int, int>> key_ordinals;
+      for (const JoinKeyNames& k : keys) {
+        key_ordinals.emplace_back(layout.at(k.bound), layout.at(k.added));
+      }
+      clock.Begin();
+      size_t before = index.size();
+      index.HashJoin(rel, key_ordinals, t, sels[tu], ctx_);
+      clock.End(
+          [&] {
+            return JoinLabel(keys) + " with " + query.from[tu].table + " [vec]";
+          },
+          before, index.size());
+      ++stats_.vectorized_ops;
+      sels[tu] = SelVector();
+    }
+    bound[tu] = true;
+    NoteRows(index.size());
+    if (ctx_ != nullptr && !ctx_->ok()) return ctx_->status();
+    AQV_RETURN_NOT_OK(
+        filter_index(TakeReadyPredicates(query, cls, bound, &multi_applied)));
+  }
+  AQV_RETURN_NOT_OK(filter_index(LeftoverEquiJoins(cls, edge_used)));
+  if (ctx_ != nullptr && !ctx_->ok()) return ctx_->status();
+
+  // ---- Output: gather only the projected columns, or aggregate through
+  // the index.
+  const RowIds ids = index.ids();
+  clock.Begin();
+  if (conjunctive) {
+    *out = GatherColumns(rel, ids, index.size(), SelectOrdinals(query, layout),
+                         ctx_);
+    if (query.distinct) *out = DistinctRows(*out, ctx_);
+    clock.End([&] { return SelectLabel(query) + " [vec]"; }, index.size(),
+              out->size());
+  } else {
+    *out = agg.Run(ids, index.size(), ctx_);
+    clock.End([&] { return AggLabel(query, true); }, index.size(),
+              out->size());
+    NoteRows(out->size());
+  }
+  ++stats_.vectorized_ops;
+  return true;
+}
+
+Status Evaluator::ExecuteRows(const Query& query,
+                              const std::vector<const Table*>& inputs,
+                              OpClock& clock, std::vector<Row>* out) {
+  const size_t n = query.from.size();
+  std::vector<Row> joined;
+  ColumnIndexMap layout;
+
+  if (!options_.use_hash_join) {
+    // Reference plan: Cartesian product in FROM order, then filter.
+    int offset = 0;
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < query.from[i].columns.size(); ++j) {
+        layout[query.from[i].columns[j]] = offset++;
+      }
+      clock.Begin();
+      size_t before = joined.size();
+      joined = i == 0 ? inputs[0]->rows()
+                      : CartesianProduct(joined, inputs[i]->rows(), ctx_);
+      clock.End(
+          [&] {
+            return (i == 0 ? "Scan " : "CartesianProduct with ") +
+                   InputLabel(query, *inputs[i], i, {});
+          },
+          i == 0 ? inputs[0]->num_rows() : before, joined.size());
+      NoteRows(joined.size());
+    }
+    clock.Begin();
+    size_t before = joined.size();
+    joined = FilterRows(joined, query.where, layout, ctx_);
+    if (!query.where.empty()) {
+      clock.End([&] { return "Filter(" + PredicateList(query.where) + ")"; },
+                before, joined.size());
+    }
+  } else {
+    PredicateClassification cls = ClassifyPredicates(query);
+
+    // Per-input filtered scans.
+    std::vector<std::vector<Row>> scans(n);
+    std::vector<uint64_t> scan_micros(n, 0);
+    for (size_t i = 0; i < n; ++i) {
+      ColumnIndexMap scan_layout;
+      for (size_t j = 0; j < query.from[i].columns.size(); ++j) {
+        scan_layout[query.from[i].columns[j]] = static_cast<int>(j);
+      }
+      clock.Begin();
+      scans[i] = FilterRows(inputs[i]->rows(), cls.single_table[i],
+                            scan_layout, ctx_);
+      scan_micros[i] = clock.Elapsed();
+    }
+
+    std::vector<size_t> sizes(n);
+    for (size_t i = 0; i < n; ++i) sizes[i] = scans[i].size();
+    std::vector<int> order = GreedyJoinOrder(sizes, cls.equi_joins);
+
+    std::vector<bool> bound(n, false);
+    std::vector<bool> edge_used(cls.equi_joins.size(), false);
+    std::vector<bool> multi_applied(cls.multi_table.size(), false);
+    auto filter_joined = [&](const std::vector<Predicate>& preds) {
+      if (preds.empty()) return;
+      clock.Begin();
+      size_t before = joined.size();
+      joined = FilterRows(joined, preds, layout, ctx_);
+      clock.End([&] { return "Filter(" + PredicateList(preds) + ")"; }, before,
+                joined.size());
+    };
+
+    for (size_t step = 0; step < order.size(); ++step) {
+      const int t = order[step];
+      const size_t tu = static_cast<size_t>(t);
+      if (clock.on()) {
+        clock.Add(
+            "Scan " + InputLabel(query, *inputs[tu], tu, cls.single_table[tu]),
+            inputs[tu]->num_rows(), scans[tu].size(), scan_micros[tu]);
+      }
+      const int offset = static_cast<int>(layout.size());
+      if (step == 0) {
+        joined = std::move(scans[tu]);
+      } else {
+        auto keys = TakeJoinKeys(cls, t, bound, &edge_used);
+        std::vector<std::pair<int, int>> key_ordinals;  // (joined, scan)
+        for (const JoinKeyNames& k : keys) {
+          key_ordinals.emplace_back(layout.at(k.bound),
+                                    query.FindColumn(k.added)->second);
+        }
+        clock.Begin();
+        size_t before = joined.size();
+        if (keys.empty()) {
+          joined = CartesianProduct(joined, scans[tu], ctx_);
+          clock.End(
+              [&] { return "CartesianProduct with " + query.from[tu].table; },
+              before, joined.size());
+        } else {
+          joined = HashJoin(joined, scans[tu], key_ordinals, ctx_);
+          clock.End(
+              [&] { return JoinLabel(keys) + " with " + query.from[tu].table; },
+              before, joined.size());
+        }
+      }
+      for (size_t j = 0; j < query.from[tu].columns.size(); ++j) {
+        layout[query.from[tu].columns[j]] = offset + static_cast<int>(j);
+      }
+      bound[tu] = true;
+      NoteRows(joined.size());
+      filter_joined(TakeReadyPredicates(query, cls, bound, &multi_applied));
+    }
+    filter_joined(LeftoverEquiJoins(cls, edge_used));
+  }
+
+  if (ctx_ != nullptr && !ctx_->ok()) return ctx_->status();
+
+  clock.Begin();
+  if (query.IsConjunctive()) {
+    *out = ProjectRows(joined, SelectOrdinals(query, layout), ctx_);
+    if (query.distinct) *out = DistinctRows(*out, ctx_);
+    clock.End([&] { return SelectLabel(query); }, joined.size(), out->size());
+  } else {
+    *out = GroupAggregate(joined, Ordinals(query.group_by, layout),
+                          AggSpecs(query, layout), ctx_);
+    clock.End([&] { return AggLabel(query, false); }, joined.size(),
+              out->size());
+    NoteRows(out->size());
+  }
+  return Status::OK();
 }
 
 }  // namespace aqv

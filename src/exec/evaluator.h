@@ -1,6 +1,7 @@
 #ifndef AQV_EXEC_EVALUATOR_H_
 #define AQV_EXEC_EVALUATOR_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -41,15 +42,17 @@ struct PlanProfile {
 /// of multiset semantics.
 struct EvalOptions {
   bool use_hash_join = true;
-  /// Batch-at-a-time columnar execution (exec/vectorized.h) for scans,
-  /// filters and hash-group aggregation, over the table's cached columnar
-  /// image. Operators without a vectorized implementation — joins,
-  /// HAVING, final projection, anything touching a mixed-type column —
-  /// fall back to the row engine per operator; results are identical
-  /// either way (enforced by tests/vectorized_differential_test.cc). Only
-  /// effective with use_hash_join: the Cartesian reference plan stays pure
-  /// row-at-a-time, as it is the executable specification tests compare
-  /// against.
+  /// Batch-at-a-time columnar execution (exec/vectorized.h) over the
+  /// tables' cached columnar images: filtered scans, hash equi-joins,
+  /// cross-input filters, hash-group aggregation and projection all run on
+  /// selection vectors and join indexes, materializing rows only for the
+  /// output. A block with an operator that has no batched form — a
+  /// Cartesian step, a mixed-type column, more than four grouping keys,
+  /// SUM/AVG over strings — runs wholly on the row engine, as do HAVING
+  /// and DISTINCT; results are identical either way (enforced by
+  /// tests/vectorized_differential_test.cc). Only effective with
+  /// use_hash_join: the Cartesian reference plan stays pure row-at-a-time,
+  /// as it is the executable specification tests compare against.
   bool vectorized = true;
 };
 
@@ -105,7 +108,24 @@ class Evaluator {
  private:
   static constexpr int kMaxViewDepth = 16;
 
+  class OpClock;
+
   Result<Table> ExecuteInternal(const Query& query, int depth);
+  /// Runs the block's scans, joins and aggregation (or projection) on the
+  /// batched operators over row ids, leaving in `*out` the grouped rows of
+  /// an aggregate query or the output rows of a conjunctive one. Returns
+  /// false, having run nothing, when some operator has no batched form.
+  Result<bool> ExecuteBatched(const Query& query,
+                              const std::vector<const Table*>& inputs,
+                              OpClock& clock, std::vector<Row>* out);
+  /// The row-at-a-time engine; same contract as ExecuteBatched.
+  Status ExecuteRows(const Query& query,
+                     const std::vector<const Table*>& inputs, OpClock& clock,
+                     std::vector<Row>* out);
+  void NoteRows(size_t rows) {
+    stats_.peak_intermediate_rows =
+        std::max(stats_.peak_intermediate_rows, rows);
+  }
   Result<const Table*> InputTable(const std::string& name, int depth);
 
   const Database* db_;

@@ -1,6 +1,8 @@
 #include "parser/lexer.h"
 
 #include <cctype>
+#include <charconv>
+#include <system_error>
 
 #include "base/strings.h"
 
@@ -45,13 +47,27 @@ Result<std::vector<Token>> Tokenize(std::string_view sql) {
         if (sql[i] == '.' || sql[i] == 'e' || sql[i] == 'E') is_float = true;
         ++i;
       }
-      std::string text(sql.substr(start, i - start));
+      // The whole token must be one numeral: "1.2.3" or "1e" is refused,
+      // not half-read, and so is a value its type cannot hold.
+      const char* first = sql.data() + start;
+      const char* last = sql.data() + i;
+      std::from_chars_result parsed;
       if (is_float) {
         t.kind = TokenKind::kFloat;
-        t.float_value = std::stod(text);
+        parsed = std::from_chars(first, last, t.float_value);
       } else {
         t.kind = TokenKind::kInteger;
-        t.int_value = std::stoll(text);
+        parsed = std::from_chars(first, last, t.int_value);
+      }
+      if (parsed.ec == std::errc::result_out_of_range) {
+        return Status::InvalidArgument(
+            "numeral out of range at offset " + std::to_string(start) + ": " +
+            std::string(first, last));
+      }
+      if (parsed.ec != std::errc() || parsed.ptr != last) {
+        return Status::InvalidArgument(
+            "malformed numeral at offset " + std::to_string(start) + ": " +
+            std::string(first, last));
       }
     } else if (c == '\'') {
       ++i;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -2209,29 +2210,28 @@ Result<Value> EvalSetExpr(const SetExpr& expr, const Row& row,
         "UPDATE arithmetic needs numeric operands; column '" + expr.column +
         "' holds " + v.ToString());
   }
+  // Results a column could not hold faithfully — an INT64 overflow, an
+  // infinite or NaN DOUBLE — are refused before anything is staged.
+  auto refuse = [&](const std::string& what) {
+    return Status::InvalidArgument("UPDATE of column '" + expr.column +
+                                   "' (value " + v.ToString() + ") " + what);
+  };
   if (v.type() == ValueType::kInt64 &&
       expr.literal.type() == ValueType::kInt64) {
     int64_t a = v.int64();
     int64_t b = expr.literal.int64();
-    switch (expr.op) {
-      case '+':
-        return Value::Int64(a + b);
-      case '-':
-        return Value::Int64(a - b);
-      default:
-        return Value::Int64(a * b);
-    }
+    int64_t r = 0;
+    bool overflow = expr.op == '+'   ? __builtin_add_overflow(a, b, &r)
+                    : expr.op == '-' ? __builtin_sub_overflow(a, b, &r)
+                                     : __builtin_mul_overflow(a, b, &r);
+    if (overflow) return refuse("overflows INT64");
+    return Value::Int64(r);
   }
   double a = v.AsDouble();
   double b = expr.literal.AsDouble();
-  switch (expr.op) {
-    case '+':
-      return Value::Double(a + b);
-    case '-':
-      return Value::Double(a - b);
-    default:
-      return Value::Double(a * b);
-  }
+  double r = expr.op == '+' ? a + b : expr.op == '-' ? a - b : a * b;
+  if (!std::isfinite(r)) return refuse("gives a non-finite DOUBLE");
+  return Value::Double(r);
 }
 
 }  // namespace

@@ -27,6 +27,28 @@
 namespace aqv {
 namespace {
 
+bool CompileAggregation(const ColumnarTable& ct,
+                        const std::vector<int>& group_cols,
+                        const std::vector<AggSpec>& aggs,
+                        VectorizedAggregation* agg) {
+  return VectorizedAggregation::Compile(RelationColumns::Of(ct), group_cols,
+                                        aggs, agg);
+}
+
+/// `agg` over every row of `ct`.
+std::vector<Row> RunAll(const VectorizedAggregation& agg,
+                        const ColumnarTable& ct, ExecContext* ctx) {
+  return agg.Run({nullptr}, ct.num_rows(), ctx);
+}
+
+/// Every column of the selected rows of `ct`.
+std::vector<Row> GatherSelected(const ColumnarTable& ct, const SelVector& sel) {
+  std::vector<int> all(static_cast<size_t>(ct.num_columns()));
+  for (size_t c = 0; c < all.size(); ++c) all[c] = static_cast<int>(c);
+  return GatherColumns(RelationColumns::Of(ct), {sel.data()}, sel.size(), all,
+                       nullptr);
+}
+
 Table ToTable(const std::vector<Row>& rows, int arity) {
   std::vector<std::string> cols;
   for (int i = 0; i < arity; ++i) cols.push_back("c" + std::to_string(i));
@@ -73,15 +95,16 @@ TEST(ColumnBatchTest, RoundTripsRowsAtEveryBoundarySize) {
     ColumnarTable ct = ColumnarTable::FromRows(rows, 3);
     ASSERT_EQ(ct.num_rows(), n);
     ASSERT_EQ(ct.num_columns(), 3);
+    std::vector<Row> rebuilt = GatherColumns(RelationColumns::Of(ct),
+                                             {nullptr}, n, {0, 1, 2}, nullptr);
+    ASSERT_EQ(rebuilt.size(), n);
     for (size_t i = 0; i < n; ++i) {
       for (int c = 0; c < 3; ++c) {
         EXPECT_EQ(ct.col(c).IsNull(i), rows[i][c].is_null())
             << "row " << i << " col " << c;
         EXPECT_EQ(ct.ValueAt(c, i), rows[i][c]) << "row " << i << " col " << c;
       }
-      Row rebuilt;
-      ct.AppendRowTo(i, &rebuilt);
-      EXPECT_EQ(CompareRows(rebuilt, rows[i]), 0) << "row " << i;
+      EXPECT_EQ(CompareRows(rebuilt[i], rows[i]), 0) << "row " << i;
     }
   }
 }
@@ -111,9 +134,86 @@ TEST(ColumnBatchTest, FilterMatchesRowEngineWithNullsAtBoundaries) {
     ColumnarTable ct = ColumnarTable::FromRows(rows, 2);
     CompiledFilter filter;
     ASSERT_TRUE(CompiledFilter::Compile(preds, layout, ct, &filter));
-    std::vector<Row> got = GatherRows(ct, filter.Run(ct, nullptr));
+    std::vector<Row> got = GatherSelected(ct, filter.Run(ct, nullptr));
     std::vector<Row> want = FilterRows(rows, preds, layout);
     ExpectSameRows(got, want, 2);
+  }
+}
+
+// A stored NaN (only reachable by building a table directly: DML and CSV
+// refuse non-finite values) compares "equal" under EvalCmp's three-way
+// rule. The compiled kernels must agree whether the predicate is the first
+// conjunct or a later one, for every operator.
+TEST(ColumnBatchTest, NaNComparesLikeTheRowEngineInEveryConjunctPosition) {
+  std::vector<Row> rows;
+  for (int i = 0; i < 300; ++i) {
+    double x = i % 3 == 0 ? std::nan("") : static_cast<double>(i % 5);
+    rows.push_back(Row{Value::Int64(i % 7), Value::Double(x)});
+  }
+  ColumnarTable ct = ColumnarTable::FromRows(rows, 2);
+  ColumnIndexMap layout{{"A", 0}, {"X", 1}};
+  const Predicate always{Operand::Column("A"), CmpOp::kGe,
+                         Operand::Constant(Value::Int64(0))};
+  for (CmpOp op : {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt, CmpOp::kLe, CmpOp::kGt,
+                   CmpOp::kGe}) {
+    const Predicate on_x{Operand::Column("X"), op,
+                         Operand::Constant(Value::Int64(2))};
+    for (const std::vector<Predicate>& preds :
+         {std::vector<Predicate>{on_x}, std::vector<Predicate>{always, on_x}}) {
+      SCOPED_TRACE(on_x.ToString() + " as conjunct " +
+                   std::to_string(preds.size()));
+      CompiledFilter filter;
+      ASSERT_TRUE(CompiledFilter::Compile(preds, layout, ct, &filter));
+      std::vector<Row> got = GatherSelected(ct, filter.Run(ct, nullptr));
+      ExpectSameRows(got, FilterRows(rows, preds, layout), 2);
+    }
+  }
+}
+
+// INT64 columns compare against a constant in the integer domain when that
+// decides exactly what EvalCmp's double comparison decides. Values around
+// ±2^53 (where int64 -> double rounds), the int64 extremes, and integral,
+// fractional and out-of-range constants must all match the row engine, as
+// first and as later conjuncts.
+TEST(ColumnBatchTest, Int64ConstantCompareMatchesDoubleSemantics) {
+  const int64_t p53 = int64_t{1} << 53;
+  std::vector<int64_t> values{0,       1,       -1,      2,       3,
+                              -3,      p53 - 2, p53 - 1, p53,     p53 + 1,
+                              p53 + 2, -p53 - 1, -p53,   -p53 + 1, INT64_MAX,
+                              INT64_MIN};
+  std::vector<Row> rows;
+  for (int rep = 0; rep < 70; ++rep) {
+    for (int64_t v : values) {
+      rows.push_back(Row{rep % 9 == 4 ? Value::Null() : Value::Int64(v),
+                         Value::Int64(rep)});
+    }
+  }
+  ColumnarTable ct = ColumnarTable::FromRows(rows, 2);
+  ColumnIndexMap layout{{"A", 0}, {"B", 1}};
+  const Predicate always{Operand::Column("B"), CmpOp::kGe,
+                         Operand::Constant(Value::Int64(0))};
+  std::vector<Value> constants{
+      Value::Int64(2),           Value::Double(2.0),
+      Value::Double(2.5),        Value::Double(-2.5),
+      Value::Int64(p53),         Value::Int64(p53 + 1),
+      Value::Double(9007199254740991.0), Value::Double(4503599627370495.5),
+      Value::Int64(-p53),        Value::Int64(INT64_MAX),
+      Value::Double(1e19),       Value::Double(-1e19)};
+  for (const Value& cv : constants) {
+    for (CmpOp op : {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt, CmpOp::kLe,
+                     CmpOp::kGt, CmpOp::kGe}) {
+      const Predicate on_a{Operand::Column("A"), op, Operand::Constant(cv)};
+      for (const std::vector<Predicate>& preds :
+           {std::vector<Predicate>{on_a},
+            std::vector<Predicate>{always, on_a}}) {
+        SCOPED_TRACE(on_a.ToString() + " as conjunct " +
+                     std::to_string(preds.size()));
+        CompiledFilter filter;
+        ASSERT_TRUE(CompiledFilter::Compile(preds, layout, ct, &filter));
+        std::vector<Row> got = GatherSelected(ct, filter.Run(ct, nullptr));
+        ExpectSameRows(got, FilterRows(rows, preds, layout), 2);
+      }
+    }
   }
 }
 
@@ -145,7 +245,7 @@ TEST(ColumnBatchTest, DictionarySurvivesGrowthPastRehash) {
                                 Operand::Constant(Value::String("k5000"))}};
   CompiledFilter filter;
   ASSERT_TRUE(CompiledFilter::Compile(preds, layout, ct, &filter));
-  std::vector<Row> got = GatherRows(ct, filter.Run(ct, nullptr));
+  std::vector<Row> got = GatherSelected(ct, filter.Run(ct, nullptr));
   std::vector<Row> want = FilterRows(rows, preds, layout);
   ASSERT_EQ(want.size(), 3u);
   ExpectSameRows(got, want, 2);
@@ -170,8 +270,8 @@ TEST(ColumnBatchTest, GroupsSplitAcrossBatchBoundariesMatchRowEngine) {
                             {AggFn::kMin, 2}};
   ColumnarTable ct = ColumnarTable::FromRows(rows, 3);
   VectorizedAggregation agg;
-  ASSERT_TRUE(VectorizedAggregation::Compile(ct, group_cols, aggs, &agg));
-  std::vector<Row> got = agg.Run(ct, nullptr, nullptr);
+  ASSERT_TRUE(CompileAggregation(ct, group_cols, aggs, &agg));
+  std::vector<Row> got = RunAll(agg, ct, nullptr);
   std::vector<Row> want = GroupAggregate(rows, group_cols, aggs);
   ASSERT_EQ(want.size(), 7u);
   // MultisetEqual's total order is exact on doubles, so this asserts
@@ -186,7 +286,7 @@ TEST(ColumnBatchTest, GroupsSplitAcrossBatchBoundariesMatchRowEngine) {
   CompiledFilter filter;
   ASSERT_TRUE(CompiledFilter::Compile(preds, layout, ct, &filter));
   SelVector sel = filter.Run(ct, nullptr);
-  std::vector<Row> got_sel = agg.Run(ct, &sel, nullptr);
+  std::vector<Row> got_sel = agg.Run({sel.data()}, sel.size(), nullptr);
   std::vector<Row> want_sel =
       GroupAggregate(FilterRows(rows, preds, layout), group_cols, aggs);
   ExpectSameRows(got_sel, want_sel, 1 + static_cast<int>(aggs.size()));
@@ -205,8 +305,8 @@ TEST(ColumnBatchTest, ExtremumTiesStraddlingBatchesKeepFirstEncountered) {
     std::vector<AggSpec> aggs{{AggFn::kMin, 1}};
     ColumnarTable ct = ColumnarTable::FromRows(rows, 2);
     VectorizedAggregation agg;
-    ASSERT_TRUE(VectorizedAggregation::Compile(ct, {0}, aggs, &agg));
-    std::vector<Row> got = agg.Run(ct, nullptr, nullptr);
+    ASSERT_TRUE(CompileAggregation(ct, {0}, aggs, &agg));
+    std::vector<Row> got = RunAll(agg, ct, nullptr);
     std::vector<Row> want = GroupAggregate(rows, {0}, aggs);
     ASSERT_EQ(got.size(), 1u);
     ASSERT_EQ(want.size(), 1u);
@@ -227,8 +327,8 @@ TEST(ColumnBatchTest, ExtremumTiesStraddlingBatchesKeepFirstEncountered) {
     std::vector<AggSpec> aggs{{AggFn::kMin, 1}, {AggFn::kMax, 1}};
     ColumnarTable ct = ColumnarTable::FromRows(rows, 2);
     VectorizedAggregation agg;
-    ASSERT_TRUE(VectorizedAggregation::Compile(ct, {0}, aggs, &agg));
-    std::vector<Row> got = agg.Run(ct, nullptr, nullptr);
+    ASSERT_TRUE(CompileAggregation(ct, {0}, aggs, &agg));
+    std::vector<Row> got = RunAll(agg, ct, nullptr);
     std::vector<Row> want = GroupAggregate(rows, {0}, aggs);
     ExpectSameRows(got, want, 3);
   }
@@ -246,8 +346,8 @@ TEST(ColumnBatchTest, EmptySingleRowAndAllNullInputs) {
     std::vector<Row> rows;
     ColumnarTable ct = ColumnarTable::FromRows(rows, 2);
     VectorizedAggregation agg;
-    ASSERT_TRUE(VectorizedAggregation::Compile(ct, {}, aggs, &agg));
-    std::vector<Row> got = agg.Run(ct, nullptr, nullptr);
+    ASSERT_TRUE(CompileAggregation(ct, {}, aggs, &agg));
+    std::vector<Row> got = RunAll(agg, ct, nullptr);
     std::vector<Row> want = GroupAggregate(rows, {}, aggs);
     ASSERT_EQ(want.size(), 1u);
     ExpectSameRows(got, want, static_cast<int>(aggs.size()));
@@ -257,16 +357,16 @@ TEST(ColumnBatchTest, EmptySingleRowAndAllNullInputs) {
     std::vector<Row> rows;
     ColumnarTable ct = ColumnarTable::FromRows(rows, 2);
     VectorizedAggregation agg;
-    ASSERT_TRUE(VectorizedAggregation::Compile(ct, {0}, aggs, &agg));
-    EXPECT_TRUE(agg.Run(ct, nullptr, nullptr).empty());
+    ASSERT_TRUE(CompileAggregation(ct, {0}, aggs, &agg));
+    EXPECT_TRUE(RunAll(agg, ct, nullptr).empty());
   }
   // Single-row table.
   {
     std::vector<Row> rows{Row{Value::Int64(1), Value::Double(2.5)}};
     ColumnarTable ct = ColumnarTable::FromRows(rows, 2);
     VectorizedAggregation agg;
-    ASSERT_TRUE(VectorizedAggregation::Compile(ct, {0}, aggs, &agg));
-    ExpectSameRows(agg.Run(ct, nullptr, nullptr),
+    ASSERT_TRUE(CompileAggregation(ct, {0}, aggs, &agg));
+    ExpectSameRows(RunAll(agg, ct, nullptr),
                    GroupAggregate(rows, {0}, aggs),
                    1 + static_cast<int>(aggs.size()));
   }
@@ -280,12 +380,41 @@ TEST(ColumnBatchTest, EmptySingleRowAndAllNullInputs) {
     ColumnarTable ct = ColumnarTable::FromRows(rows, 2);
     ASSERT_TRUE(ct.ColumnVectorizable(0));
     VectorizedAggregation agg;
-    ASSERT_TRUE(VectorizedAggregation::Compile(ct, {0}, aggs, &agg));
-    std::vector<Row> got = agg.Run(ct, nullptr, nullptr);
+    ASSERT_TRUE(CompileAggregation(ct, {0}, aggs, &agg));
+    std::vector<Row> got = RunAll(agg, ct, nullptr);
     std::vector<Row> want = GroupAggregate(rows, {0}, aggs);
     ASSERT_EQ(want.size(), 1u);
     ExpectSameRows(got, want, 1 + static_cast<int>(aggs.size()));
   }
+}
+
+/// `SELECT group..., COUNT(count_col) FROM T GROUPBY group...` over `rows`
+/// must run wholly on the row engine (no batched operator) and match it.
+void ExpectBlockFallsBack(const std::vector<Row>& rows,
+                          const std::vector<std::string>& columns,
+                          const std::vector<std::string>& group,
+                          const std::string& count_col) {
+  Table t(columns);
+  ASSERT_OK(t.AddRows(rows));
+  Database db;
+  db.Put("T", std::move(t));
+  Query q;
+  q.from = {TableRef{"T", columns}};
+  for (const std::string& g : group) {
+    q.select.push_back(SelectItem::MakeColumn(g, g));
+  }
+  q.select.push_back(SelectItem::MakeAggregate(AggFn::kCount, count_col, "N"));
+  q.group_by = group;
+
+  Evaluator vec_eval(&db);
+  ASSERT_OK_AND_ASSIGN(Table vec_out, vec_eval.Execute(q));
+  EXPECT_EQ(vec_eval.stats().vectorized_ops, 0u);
+  EvalOptions row_options;
+  row_options.vectorized = false;
+  Evaluator row_eval(&db, nullptr, row_options);
+  ASSERT_OK_AND_ASSIGN(Table row_out, row_eval.Execute(q));
+  EXPECT_TRUE(MultisetEqual(vec_out, row_out))
+      << DescribeMultisetDifference(vec_out, row_out);
 }
 
 TEST(ColumnBatchTest, MixedTypeColumnDegradesAndFallsBack) {
@@ -309,21 +438,17 @@ TEST(ColumnBatchTest, MixedTypeColumnDegradesAndFallsBack) {
       layout, ct, &filter));
   VectorizedAggregation agg;
   EXPECT_FALSE(
-      VectorizedAggregation::Compile(ct, {0}, {{AggFn::kCount, 1}}, &agg));
+      CompileAggregation(ct, {0}, {{AggFn::kCount, 1}}, &agg));
   EXPECT_FALSE(
-      VectorizedAggregation::Compile(ct, {1}, {{AggFn::kMin, 0}}, &agg));
+      CompileAggregation(ct, {1}, {{AggFn::kMin, 0}}, &agg));
 
-  // The drop-in row-path wrapper reports the fallback and still answers
-  // exactly like GroupAggregate.
+  // End to end, a block grouping by the mixed column runs wholly on the
+  // row engine and answers exactly like it.
   std::vector<Row> big;
   for (int i = 0; i < 3000; ++i) {
     big.push_back(rows[static_cast<size_t>(i) % rows.size()]);
   }
-  bool used_vectorized = true;
-  std::vector<Row> got = VectorizedGroupAggregateRows(
-      big, {0}, {{AggFn::kCount, 1}}, nullptr, &used_vectorized);
-  EXPECT_FALSE(used_vectorized);
-  ExpectSameRows(got, GroupAggregate(big, {0}, {{AggFn::kCount, 1}}), 2);
+  ExpectBlockFallsBack(big, {"A", "B"}, {"A"}, "B");
 }
 
 TEST(ColumnBatchTest, MoreThanMaxGroupColsFallsBack) {
@@ -340,18 +465,15 @@ TEST(ColumnBatchTest, MoreThanMaxGroupColsFallsBack) {
   std::vector<int> four(five.begin(),
                         five.begin() + VectorizedAggregation::kMaxGroupCols);
   ASSERT_TRUE(
-      VectorizedAggregation::Compile(ct, four, {{AggFn::kCount, 5}}, &agg));
-  ExpectSameRows(agg.Run(ct, nullptr, nullptr),
+      CompileAggregation(ct, four, {{AggFn::kCount, 5}}, &agg));
+  ExpectSameRows(RunAll(agg, ct, nullptr),
                  GroupAggregate(rows, four, {{AggFn::kCount, 5}}),
                  static_cast<int>(four.size()) + 1);
   EXPECT_FALSE(
-      VectorizedAggregation::Compile(ct, five, {{AggFn::kCount, 5}}, &agg));
+      CompileAggregation(ct, five, {{AggFn::kCount, 5}}, &agg));
 
-  bool used_vectorized = true;
-  std::vector<Row> got = VectorizedGroupAggregateRows(
-      rows, five, {{AggFn::kCount, 5}}, nullptr, &used_vectorized);
-  EXPECT_FALSE(used_vectorized);
-  ExpectSameRows(got, GroupAggregate(rows, five, {{AggFn::kCount, 5}}), 6);
+  ExpectBlockFallsBack(rows, {"C0", "C1", "C2", "C3", "C4", "C5"},
+                       {"C0", "C1", "C2", "C3", "C4"}, "C5");
 }
 
 // ---------------------------------------------------------------------------
@@ -392,8 +514,8 @@ TEST(ColumnBatchTest, ExpiredDeadlineCancelsScanAfterOneBatch) {
     ctx.set_deadline_after_micros(0);
     VectorizedAggregation agg;
     ASSERT_TRUE(
-        VectorizedAggregation::Compile(ct, {0}, {{AggFn::kSum, 1}}, &agg));
-    agg.Run(ct, nullptr, &ctx);
+        CompileAggregation(ct, {0}, {{AggFn::kSum, 1}}, &agg));
+    RunAll(agg, ct, &ctx);
     EXPECT_EQ(ctx.status().code(), StatusCode::kDeadlineExceeded)
         << ctx.status().ToString();
     EXPECT_EQ(ctx.rows_charged(), kBatchRows);

@@ -52,6 +52,23 @@ TEST(CsvTest, SkipsBlankLinesAndHandlesCrLf) {
   EXPECT_EQ(t.num_rows(), 2u);
 }
 
+TEST(CsvTest, RefusesNonFiniteNumbers) {
+  // strtod reads these as inf/NaN; no column holds them faithfully, so the
+  // load is refused with the record and field named.
+  for (const char* csv : {"a,b\n1,nan\n", "a,b\n1,inf\n", "a,b\n1,-Infinity\n",
+                          "a,b\n1,1e999\n", "a,b\n1,2\nNAN,3\n"}) {
+    Result<Table> t = FromCsv(csv);
+    ASSERT_FALSE(t.ok()) << csv;
+    EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument) << csv;
+    EXPECT_NE(t.status().ToString().find("non-finite"), std::string::npos)
+        << t.status().ToString();
+  }
+  // Quoted, they are plain strings; finite extremes still load as numbers.
+  ASSERT_OK_AND_ASSIGN(Table t, FromCsv("a,b\n\"nan\",1.5e308\n"));
+  EXPECT_EQ(t.rows()[0][0], Value::String("nan"));
+  EXPECT_EQ(t.rows()[0][1], Value::Double(1.5e308));
+}
+
 TEST(CsvTest, Errors) {
   EXPECT_FALSE(FromCsv("").ok());
   EXPECT_FALSE(FromCsv("a,b\n1\n").ok());          // arity mismatch

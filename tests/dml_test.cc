@@ -224,6 +224,47 @@ TEST(DmlServiceTest, UpdateArithmeticOnNullYieldsNullAndOnStringFails) {
   EXPECT_EQ(service.PinSnapshot()->epoch, epoch_before);
 }
 
+TEST(DmlServiceTest, UpdateRefusesNonFiniteAndOverflowingResults) {
+  QueryService service;
+  EXPECT_OK(service.Execute("CREATE TABLE P(K, X, N)").status());
+  EXPECT_OK(service
+                .Execute("INSERT INTO P VALUES (1, 1e308, 9223372036854775000)")
+                .status());
+  uint64_t epoch_before = service.PinSnapshot()->epoch;
+  // DOUBLE overflow to inf, and INT64 overflow of +, - and *: each is a
+  // clean kInvalidArgument before anything is staged, even when another
+  // assignment of the same statement is fine.
+  for (const char* sql :
+       {"UPDATE P SET X = X * 10", "UPDATE P SET X = X + 1e308",
+        "UPDATE P SET N = N + 1000", "UPDATE P SET N = N * 2",
+        "UPDATE P SET N = N - 1, X = X * -10",
+        "UPDATE P SET K = 0, N = N * 3"}) {
+    Result<StatementResult> r = service.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << sql << ": " << r.status().ToString();
+  }
+  EXPECT_EQ(service.PinSnapshot()->epoch, epoch_before);
+  // A representable result stays allowed.
+  EXPECT_OK(service
+                .Execute("UPDATE P SET N = N - 9223372036854775000 WHERE K = 1")
+                .status());
+  ASSERT_OK_AND_ASSIGN(Table rows,
+                       service.Select("SELECT K_1, X_1, N_1 FROM P"));
+  ASSERT_EQ(rows.num_rows(), 1u);
+  EXPECT_EQ(rows.rows()[0][0], Value::Int64(1));
+  EXPECT_EQ(rows.rows()[0][1], Value::Double(1e308));
+  EXPECT_EQ(rows.rows()[0][2], Value::Int64(0));
+  EXPECT_EQ(service.PinSnapshot()->epoch, epoch_before + 1);
+
+  // Inside BEGIN WRITE the refused UPDATE stages nothing either.
+  EXPECT_OK(service.Execute("BEGIN WRITE").status());
+  EXPECT_FALSE(service.Execute("UPDATE P SET X = X * 10").ok());
+  EXPECT_OK(service.Execute("COMMIT").status());
+  ASSERT_OK_AND_ASSIGN(Table after, service.Select("SELECT X_1 FROM P"));
+  EXPECT_EQ(after.rows()[0][0], Value::Double(1e308));
+}
+
 TEST(DmlServiceTest, MutationMatchingNothingBumpsNoEpoch) {
   std::unique_ptr<QueryService> service = MakeSalesService();
   uint64_t epoch_before = service->PinSnapshot()->epoch;

@@ -37,6 +37,29 @@ TEST(LexerTest, RejectsBadInput) {
   EXPECT_FALSE(Tokenize("a @ b").ok());
 }
 
+TEST(LexerTest, RefusesOutOfRangeAndMalformedNumerals) {
+  // Each numeral is parsed whole: an out-of-range value or a token that is
+  // not one numeral is a clean kInvalidArgument, never a thrown exception
+  // and never a half-read prefix.
+  for (const char* sql : {"SELECT K_1 FROM T WHERE K_1 = 99999999999999999999",
+                          "INSERT INTO T VALUES (1, 1e309)",
+                          "INSERT INTO T VALUES (1.2.3, 4)", "SELECT 1e",
+                          "SELECT 2e+", "SELECT 1..5"}) {
+    Result<std::vector<Token>> tokens = Tokenize(sql);
+    ASSERT_FALSE(tokens.ok()) << sql;
+    EXPECT_EQ(tokens.status().code(), StatusCode::kInvalidArgument) << sql;
+  }
+  // The extremes that do fit still lex exactly.
+  ASSERT_OK_AND_ASSIGN(std::vector<Token> tokens,
+                       Tokenize("9223372036854775807 1.5e308 2.5E-3"));
+  EXPECT_EQ(tokens[0].int_value, INT64_MAX);
+  EXPECT_EQ(tokens[1].float_value, 1.5e308);
+  EXPECT_EQ(tokens[2].float_value, 2.5e-3);
+  // Parsers surface the lexer's refusal instead of inserting a prefix.
+  EXPECT_EQ(ParseInsert("INSERT INTO T VALUES (1.2.3, 4)").status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(ParserTest, PaperNotationRoundTrips) {
   const char* sql =
       "SELECT A1, SUM(B1) AS SUM_B1 FROM R1(A1, B1), R2(C1, D1) "

@@ -152,6 +152,26 @@ TEST(RobustnessTest, FailpointSpecParserSurvivesFuzz) {
   EXPECT_LT(accepted, 500);
 }
 
+TEST(RobustnessTest, ServiceRefusesUnrepresentableNumerals) {
+  // Numerals that used to abort the process (an uncaught std::out_of_range)
+  // or be half-read now fail the statement and leave the table unchanged.
+  QueryService service;
+  ASSERT_OK(service.Execute("CREATE TABLE T(K, X)").status());
+  ASSERT_OK(service.Execute("INSERT INTO T VALUES (1, 2)").status());
+  for (const char* sql :
+       {"SELECT K_1 FROM T WHERE K_1 = 99999999999999999999",
+        "INSERT INTO T VALUES (1, 1e309)", "INSERT INTO T VALUES (1.2.3, 4)",
+        "DELETE FROM T WHERE X = 1e400", "UPDATE T SET X = 1e309"}) {
+    Result<StatementResult> r = service.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << sql << ": " << r.status().ToString();
+  }
+  ASSERT_OK_AND_ASSIGN(Table rows, service.Select("SELECT K_1, X_1 FROM T"));
+  ASSERT_EQ(rows.num_rows(), 1u);
+  EXPECT_EQ(rows.rows()[0][1], Value::Int64(2));
+}
+
 TEST(RobustnessTest, GovernedServiceSurvivesFuzzedStatements) {
   // Fuzzed statements through a service running with every governance
   // limit tightened (statement cap, row budget, short deadline) must all
