@@ -1,5 +1,7 @@
 #include "exec/column_batch.h"
 
+#include <algorithm>
+
 namespace aqv {
 
 const char* ColumnTypeToString(ColumnType type) {
@@ -100,7 +102,7 @@ ColumnarTable ColumnarTable::FromRows(const std::vector<Row>& rows,
     }
   }
 
-  // Pass 2: fill payloads.
+  // Pass 2: fill payloads, and the INT64 columns' value ranges with them.
   for (size_t r = 0; r < rows.size(); ++r) {
     const Row& row = rows[r];
     for (size_t c = 0; c < nc; ++c) {
@@ -116,9 +118,13 @@ ColumnarTable ColumnarTable::FromRows(const std::vector<Row>& rows,
         continue;
       }
       switch (col.type) {
-        case ColumnType::kInt64:
-          col.i64[r] = v.int64();
+        case ColumnType::kInt64: {
+          const int64_t x = v.int64();
+          col.i64[r] = x;
+          col.min = std::min(col.min, x);
+          col.max = std::max(col.max, x);
           break;
+        }
         case ColumnType::kDouble:
           col.f64[r] = v.dbl();
           break;

@@ -2,6 +2,7 @@
 #define AQV_EXEC_COLUMN_BATCH_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -45,12 +46,22 @@ struct Column {
   std::vector<std::string> dict;   // kString: code -> string
   std::vector<Value> mixed;        // kMixed: full tagged values
 
+  /// kInt64: the least and greatest non-NULL value, kept by FromRows while
+  /// it fills the column. min > max when no value is set (an all-NULL or
+  /// empty column, or any other type).
+  int64_t min = std::numeric_limits<int64_t>::max();
+  int64_t max = std::numeric_limits<int64_t>::min();
+
   bool IsNull(size_t row) const {
     return has_nulls && ((null_words[row >> 6] >> (row & 63)) & 1) != 0;
   }
 
   /// The row's value as a tagged Value (works for every ColumnType).
   Value ValueAt(size_t row) const;
+
+  /// True if [min, max] bounds the column's values (a kInt64 column with
+  /// at least one non-NULL value).
+  bool HasRange() const { return type == ColumnType::kInt64 && min <= max; }
 };
 
 /// A columnar image of a row table: per-column typed arrays sharing one row

@@ -147,7 +147,15 @@ std::string InputLabel(const Query& query, const Table& input, size_t t,
   return s;
 }
 
-std::string AggLabel(const Query& query, bool vectorized) {
+/// "; keys: direct[<span>]" or "; keys: hashed": the key table a batched
+/// join or group-by ran with; empty when none ran (a global or row-engine
+/// aggregate, a row-engine join).
+std::string KeysNote(const KeyForm& keys) {
+  return keys.kind == KeyForm::Kind::kNone ? "" : "; keys: " + keys.ToString();
+}
+
+std::string AggLabel(const Query& query, bool vectorized,
+                     const KeyForm& keys = {}) {
   std::vector<std::string> aggs;
   for (const Operand& term : query.AggregateTerms()) {
     aggs.push_back(term.ToString());
@@ -155,7 +163,7 @@ std::string AggLabel(const Query& query, bool vectorized) {
   return "HashAggregate(groups: " +
          (query.group_by.empty() ? std::string("<global>")
                                  : Join(query.group_by, ", ")) +
-         "; aggregates: " + Join(aggs, ", ") + ")" +
+         "; aggregates: " + Join(aggs, ", ") + KeysNote(keys) + ")" +
          (vectorized ? " [vec]" : "");
 }
 
@@ -246,10 +254,11 @@ std::vector<JoinKeyNames> TakeJoinKeys(const PredicateClassification& cls,
   return keys;
 }
 
-std::string JoinLabel(const std::vector<JoinKeyNames>& keys) {
+std::string JoinLabel(const std::vector<JoinKeyNames>& keys,
+                      const KeyForm& form = {}) {
   std::vector<std::string> parts;
   for (const JoinKeyNames& k : keys) parts.push_back(k.edge);
-  return "HashJoin(" + Join(parts, ", ") + ")";
+  return "HashJoin(" + Join(parts, ", ") + KeysNote(form) + ")";
 }
 
 /// The multi-table conjuncts whose columns are all bound, marked applied.
@@ -539,10 +548,11 @@ Result<bool> Evaluator::ExecuteBatched(const Query& query,
       }
       clock.Begin();
       size_t before = index.size();
-      index.HashJoin(rel, key_ordinals, t, sels[tu], ctx_);
+      const KeyForm form = index.HashJoin(rel, key_ordinals, t, sels[tu], ctx_);
       clock.End(
           [&] {
-            return JoinLabel(keys) + " with " + query.from[tu].table + " [vec]";
+            return JoinLabel(keys, form) + " with " + query.from[tu].table +
+                   " [vec]";
           },
           before, index.size());
       ++stats_.vectorized_ops;
@@ -568,8 +578,9 @@ Result<bool> Evaluator::ExecuteBatched(const Query& query,
     clock.End([&] { return SelectLabel(query) + " [vec]"; }, index.size(),
               out->size());
   } else {
-    *out = agg.Run(ids, index.size(), ctx_);
-    clock.End([&] { return AggLabel(query, true); }, index.size(),
+    KeyForm form;
+    *out = agg.Run(ids, index.size(), ctx_, &form);
+    clock.End([&] { return AggLabel(query, true, form); }, index.size(),
               out->size());
     NoteRows(out->size());
   }

@@ -4,9 +4,8 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <string_view>
+#include <optional>
 #include <type_traits>
-#include <unordered_map>
 
 namespace aqv {
 
@@ -459,9 +458,52 @@ void JoinIndex::Filter(const CompiledFilter& filter, ExecContext* ctx) {
   Keep(keep);
 }
 
+// ---------------------------------------------------------------------------
+// Key table: dense ids for the keys of a hash join's build side or of a
+// group-by, assigned in first-insertion order.
+
+std::string KeyForm::ToString() const {
+  switch (kind) {
+    case Kind::kDirect:
+      return "direct[" + std::to_string(span) + "]";
+    case Kind::kHashed:
+      return "hashed";
+    case Kind::kNone:
+      break;
+  }
+  return "none";
+}
+
 namespace {
 
-constexpr uint32_t kNoEntry = UINT32_MAX;
+constexpr uint32_t kNoKey = UINT32_MAX;
+
+/// A join never matches a NULL key; a group-by gives NULL a group of its
+/// own, as GroupAggregate does.
+enum class NullKeys : uint8_t { kNeverMatch, kOwnGroup };
+
+/// One key column as a relation reads it: position p reads row
+/// RowAt(ids, p) of `col`. `xlat` (the probe side of a string join key)
+/// maps the column's dictionary codes to the build column's codes, -1 for
+/// strings the build column never holds. It is empty for a column whose
+/// own codes are keyed, and for one holding only NULLs.
+struct KeyCol {
+  const Column* col = nullptr;
+  const uint32_t* ids = nullptr;
+  std::vector<int32_t> xlat;
+};
+
+/// Calls f(k, r) for each slot k of the n-position batch at `base`, with r
+/// the row that position reads: the identity check is made per batch.
+template <typename F>
+inline void ForRows(const uint32_t* ids, size_t base, size_t n, F&& f) {
+  if (ids == nullptr) {
+    for (size_t k = 0; k < n; ++k) f(k, base + k);
+  } else {
+    const uint32_t* rows = ids + base;
+    for (size_t k = 0; k < n; ++k) f(k, rows[k]);
+  }
+}
 
 inline uint64_t HashWords(const uint64_t* w, size_t n) {
   uint64_t h = 0x9e3779b97f4a7c15ULL;
@@ -473,61 +515,302 @@ inline uint64_t HashWords(const uint64_t* w, size_t n) {
   return h;
 }
 
-/// One side of one join key: the column and the ids through which a
-/// position of that side reads it. `xlat` (probe side of a string key)
-/// maps the column's dictionary codes into the build column's codes, -1
-/// for strings the build column never holds.
-struct KeySide {
-  const Column* col = nullptr;
-  const uint32_t* ids = nullptr;
-  bool translate = false;
-  std::vector<int32_t> xlat;
-};
-
-/// Canonical (tag, bits) words of one key value, CanonicalKey's rule: tags
-/// 1 integer space (INT64 and integral DOUBLE), 2 other DOUBLE (IEEE
-/// bits), 3 string (build-side dictionary code). False for NULL — which
-/// never joins — and for a probe string the build side cannot hold.
-inline bool EncodeJoinKey(const KeySide& s, size_t pos, uint64_t* words) {
-  const size_t r = RowAt(s.ids, pos);
-  const Column& c = *s.col;
-  if (c.IsNull(r)) return false;
-  switch (c.type) {
-    case ColumnType::kInt64:
-      words[0] = 1;
-      words[1] = static_cast<uint64_t>(c.i64[r]);
-      return true;
-    case ColumnType::kDouble: {
-      double d = c.f64[r];
-      int64_t i = static_cast<int64_t>(d);
-      if (static_cast<double>(i) == d) {
-        words[0] = 1;
-        words[1] = static_cast<uint64_t>(i);
-      } else {
-        words[0] = 2;
-        words[1] = std::bit_cast<uint64_t>(d);
-      }
-      return true;
-    }
-    case ColumnType::kString: {
-      int32_t code = c.codes[r];
-      if (s.translate) code = s.xlat[static_cast<size_t>(code)];
-      if (code < 0) return false;
-      words[0] = 3;
-      words[1] = static_cast<uint64_t>(code);
-      return true;
-    }
-    case ColumnType::kMixed:
-      break;  // rejected before the join is planned
+/// For each code of `probe`'s dictionary, the code of the same string in
+/// `build`'s, or -1 where `build` lacks it (or is not a string column).
+std::vector<int32_t> TranslateDict(const Column& probe, const Column& build) {
+  std::vector<int32_t> xlat(probe.dict.size(), -1);
+  if (build.type != ColumnType::kString) return xlat;
+  const std::vector<std::string>& bd = build.dict;
+  std::vector<int32_t> sorted(bd.size());
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    sorted[i] = static_cast<int32_t>(i);
   }
-  return false;
+  auto str = [&bd](int32_t code) -> const std::string& {
+    return bd[static_cast<size_t>(code)];
+  };
+  std::sort(sorted.begin(), sorted.end(),
+            [&](int32_t a, int32_t b) { return str(a) < str(b); });
+  for (size_t i = 0; i < probe.dict.size(); ++i) {
+    const std::string& s = probe.dict[i];
+    auto it = std::lower_bound(
+        sorted.begin(), sorted.end(), s,
+        [&](int32_t code, const std::string& v) { return str(code) < v; });
+    if (it != sorted.end() && str(*it) == s) xlat[i] = *it;
+  }
+  return xlat;
 }
+
+/// Maps keys to dense ids in first-insertion order. The form is chosen at
+/// construction from the key's type and span:
+///
+///  - direct: one INT64 key column whose [min, max] span is at most
+///    kDirectSpanPerRow slots per keyed position. Value v's id sits at
+///    slot v - min of an array, and a group-by's NULL group in one more
+///    slot. A probe value outside [min, max] wraps past the array.
+///  - hashed: every other key. Each column contributes a canonical
+///    (tag, bits) pair — tag 0 NULL, 1 integer space (INT64 and integral
+///    DOUBLE, CanonicalKey's rule), 2 other DOUBLE (IEEE bits), 3 string
+///    (build-side dictionary code) — with the 2-bit tags packed into
+///    leading tag words. The keys sit inline in one flat open-addressing
+///    table: a slot is [hash high 32 bits | id, key words...].
+///
+/// Keys are encoded a batch at a time: one typed loop per key column, then
+/// hashes, then lookups.
+class KeyTable {
+ public:
+  /// Keys `cols` over `rows` relation positions. `direct_ok` is false when
+  /// a probe side cannot take the direct form (a non-INT64 probe column).
+  /// The hashed form starts with room for `reserve` keys.
+  KeyTable(std::vector<KeyCol> cols, size_t rows, NullKeys nulls,
+           bool direct_ok, size_t reserve)
+      : cols_(std::move(cols)), nulls_(nulls) {
+    const Column* c = cols_.size() == 1 ? cols_[0].col : nullptr;
+    if (direct_ok && c != nullptr && c->HasRange() &&
+        static_cast<uint64_t>(c->max) - static_cast<uint64_t>(c->min) <
+            kDirectSpanPerRow * rows) {
+      direct_ = true;
+      min_ = c->min;
+      span_ = static_cast<uint64_t>(c->max) - static_cast<uint64_t>(c->min) + 1;
+      slot_ids_.assign(span_ + (nulls == NullKeys::kOwnGroup ? 1 : 0), kNoKey);
+      slot_.resize(kBatchRows);
+      return;
+    }
+    tag_words_ = (cols_.size() + 31) / 32;
+    width_ = tag_words_ + cols_.size();
+    stride_ = 1 + width_;
+    size_t capacity = 16;
+    while (capacity < 2 * reserve) capacity <<= 1;
+    mask_ = capacity - 1;
+    table_.assign(capacity * stride_, kEmpty);
+    words_.resize(kBatchRows * width_);
+    hash_.resize(kBatchRows);
+    valid_.resize(kBatchRows);
+  }
+
+  /// Ids of the keys at positions [base, base + n) into out[0, n),
+  /// inserting keys the table lacks in position order; kNoKey for a key
+  /// that never matches. n <= kBatchRows.
+  void Insert(size_t base, size_t n, uint32_t* out) {
+    if (direct_) {
+      EncodeDirect(cols_[0], base, n);
+      LookupDirect<true>(n, out);
+    } else {
+      EncodeHashed(cols_, base, n);
+      LookupHashed<true>(n, out);
+    }
+  }
+
+  /// Ids of the keys `probe` (one column per key column) reads at positions
+  /// [base, base + n), kNoKey for keys the table lacks. n <= kBatchRows.
+  void Find(const std::vector<KeyCol>& probe, size_t base, size_t n,
+            uint32_t* out) {
+    if (direct_) {
+      EncodeDirect(probe[0], base, n);
+      LookupDirect<false>(n, out);
+    } else {
+      EncodeHashed(probe, base, n);
+      LookupHashed<false>(n, out);
+    }
+  }
+
+  /// Number of distinct keys inserted; ids are [0, size()).
+  uint32_t size() const { return count_; }
+
+  KeyForm form() const {
+    return direct_ ? KeyForm{KeyForm::Kind::kDirect, span_}
+                   : KeyForm{KeyForm::Kind::kHashed, 0};
+  }
+
+ private:
+  static constexpr uint64_t kDirectSpanPerRow = 4;
+  static constexpr uint64_t kEmpty = UINT64_MAX;
+  static constexpr uint64_t kHashHigh = 0xffffffff00000000ULL;
+
+  void EncodeDirect(const KeyCol& kc, size_t base, size_t n) {
+    const Column& c = *kc.col;
+    const int64_t* v = c.i64.data();
+    const uint64_t lo = static_cast<uint64_t>(min_);
+    uint64_t* slot = slot_.data();
+    ForRows(kc.ids, base, n, [&](size_t k, size_t r) {
+      slot[k] = static_cast<uint64_t>(v[r]) - lo;
+    });
+    if (c.has_nulls) {
+      const uint64_t null_slot =
+          nulls_ == NullKeys::kOwnGroup ? span_ : kEmpty;
+      ForRows(kc.ids, base, n, [&](size_t k, size_t r) {
+        if (c.IsNull(r)) slot[k] = null_slot;
+      });
+    }
+  }
+
+  void EncodeHashed(const std::vector<KeyCol>& cols, size_t base, size_t n) {
+    const size_t w = width_;
+    uint64_t* const kw = words_.data();
+    uint8_t* const valid = valid_.data();
+    std::fill_n(valid, n, 1);
+    for (size_t c = 0; c < cols.size(); ++c) {
+      const KeyCol& kc = cols[c];
+      const Column& col = *kc.col;
+      uint64_t* const tags = kw + c / 32;
+      uint64_t* const bits = kw + tag_words_ + c;
+      const unsigned shift = 2 * (c % 32);
+      // The first column of a tag word assigns it, the others add to it.
+      const uint64_t keep = shift == 0 ? 0 : ~uint64_t{0};
+      auto put = [=](size_t k, uint64_t tag, uint64_t b) {
+        tags[k * w] = (tags[k * w] & keep) | (tag << shift);
+        bits[k * w] = b;
+      };
+      switch (col.type) {
+        case ColumnType::kInt64: {
+          const int64_t* v = col.i64.data();
+          ForRows(kc.ids, base, n, [&](size_t k, size_t r) {
+            put(k, 1, static_cast<uint64_t>(v[r]));
+          });
+          break;
+        }
+        case ColumnType::kDouble: {
+          const double* v = col.f64.data();
+          ForRows(kc.ids, base, n, [&](size_t k, size_t r) {
+            const double d = v[r];
+            const int64_t i = static_cast<int64_t>(d);
+            if (static_cast<double>(i) == d) {
+              put(k, 1, static_cast<uint64_t>(i));
+            } else {
+              put(k, 2, std::bit_cast<uint64_t>(d));
+            }
+          });
+          break;
+        }
+        case ColumnType::kString: {
+          const int32_t* codes = col.codes.data();
+          if (kc.xlat.empty()) {
+            ForRows(kc.ids, base, n, [&](size_t k, size_t r) {
+              put(k, 3, static_cast<uint32_t>(codes[r]));
+            });
+            break;
+          }
+          const int32_t* xlat = kc.xlat.data();
+          ForRows(kc.ids, base, n, [&](size_t k, size_t r) {
+            const int32_t code = codes[r] < 0 ? -1 : xlat[codes[r]];
+            valid[k] &= code >= 0;
+            put(k, 3, static_cast<uint32_t>(code));
+          });
+          break;
+        }
+        case ColumnType::kMixed:
+          break;  // rejected before a key table is built
+      }
+      // A NULL takes tag 0. Its bits stay those of the column's NULL slot
+      // payload, which is the same in every row.
+      if (col.has_nulls) {
+        const bool own_group = nulls_ == NullKeys::kOwnGroup;
+        ForRows(kc.ids, base, n, [&](size_t k, size_t r) {
+          if (!col.IsNull(r)) return;
+          tags[k * w] &= ~(uint64_t{3} << shift);
+          valid[k] &= own_group;
+        });
+      }
+    }
+    for (size_t k = 0; k < n; ++k) hash_[k] = HashWords(kw + k * w, w);
+  }
+
+  template <bool kInsert>
+  void LookupDirect(size_t n, uint32_t* out) {
+    const uint64_t slots = slot_ids_.size();
+    for (size_t k = 0; k < n; ++k) {
+      const uint64_t s = slot_[k];
+      if (s >= slots) {
+        out[k] = kNoKey;
+        continue;
+      }
+      uint32_t id = slot_ids_[s];
+      if (kInsert && id == kNoKey) id = slot_ids_[s] = count_++;
+      out[k] = id;
+    }
+  }
+
+  template <bool kInsert>
+  void LookupHashed(size_t n, uint32_t* out) {
+    constexpr size_t kAhead = 8;
+    for (size_t k = 0; k < n; ++k) {
+      if (k + kAhead < n) {
+        __builtin_prefetch(&table_[(hash_[k + kAhead] & mask_) * stride_]);
+      }
+      if (!valid_[k]) {
+        out[k] = kNoKey;
+        continue;
+      }
+      const uint64_t h = hash_[k];
+      const uint64_t* key = &words_[k * width_];
+      for (size_t s = h & mask_;; s = (s + 1) & mask_) {
+        uint64_t* e = &table_[s * stride_];
+        if (e[0] == kEmpty) {
+          out[k] = kNoKey;
+          if constexpr (kInsert) {
+            e[0] = (h & kHashHigh) | count_;
+            std::copy_n(key, width_, e + 1);
+            out[k] = count_++;
+            if (2 * static_cast<size_t>(count_) > mask_ + 1) Grow();
+          }
+          break;
+        }
+        if (((e[0] ^ h) & kHashHigh) == 0 && SameKey(key, e + 1)) {
+          out[k] = static_cast<uint32_t>(e[0]);
+          break;
+        }
+      }
+    }
+  }
+
+  bool SameKey(const uint64_t* a, const uint64_t* b) const {
+    uint64_t diff = 0;
+    for (size_t i = 0; i < width_; ++i) diff |= a[i] ^ b[i];
+    return diff == 0;
+  }
+
+  /// Doubles the hashed table, rehashing every key from its inline words.
+  void Grow() {
+    std::vector<uint64_t> old(std::move(table_));
+    const size_t capacity = 2 * (mask_ + 1);
+    mask_ = capacity - 1;
+    table_.assign(capacity * stride_, kEmpty);
+    for (size_t e = 0; e < old.size(); e += stride_) {
+      if (old[e] == kEmpty) continue;
+      const uint64_t h = HashWords(&old[e + 1], width_);
+      size_t s = h & mask_;
+      while (table_[s * stride_] != kEmpty) s = (s + 1) & mask_;
+      std::copy_n(&old[e], stride_, &table_[s * stride_]);
+    }
+  }
+
+  std::vector<KeyCol> cols_;
+  NullKeys nulls_;
+  bool direct_ = false;
+  uint32_t count_ = 0;
+
+  // Direct form.
+  int64_t min_ = 0;
+  uint64_t span_ = 0;
+  std::vector<uint32_t> slot_ids_;
+  std::vector<uint64_t> slot_;  // per batch: array slot of each position
+
+  // Hashed form.
+  size_t tag_words_ = 0;
+  size_t width_ = 0;   // key words
+  size_t stride_ = 0;  // words per table slot
+  size_t mask_ = 0;
+  std::vector<uint64_t> table_;
+  std::vector<uint64_t> words_;  // per batch: width_ key words a position
+  std::vector<uint64_t> hash_;
+  std::vector<uint8_t> valid_;  // per batch: 0 = the key never matches
+};
 
 }  // namespace
 
-void JoinIndex::HashJoin(const RelationColumns& rel,
-                         const std::vector<std::pair<int, int>>& keys,
-                         int input, const SelVector& sel, ExecContext* ctx) {
+KeyForm JoinIndex::HashJoin(const RelationColumns& rel,
+                            const std::vector<std::pair<int, int>>& keys,
+                            int input, const SelVector& sel,
+                            ExecContext* ctx) {
   const RowIds rel_ids = ids();
   // Build on the smaller side, like HashJoin (left = relation, right = the
   // new input's selection).
@@ -536,130 +819,69 @@ void JoinIndex::HashJoin(const RelationColumns& rel,
   const size_t np = build_rel ? sel.size() : size_;
 
   const size_t nk = keys.size();
-  const size_t width = 2 * nk;
-  std::vector<KeySide> build(nk), probe(nk);
+  std::vector<KeyCol> build(nk), probe(nk);
+  bool probe_int64 = true;
   for (size_t c = 0; c < nk; ++c) {
     size_t bo = static_cast<size_t>(keys[c].first);
     size_t no = static_cast<size_t>(keys[c].second);
-    KeySide rel_side;
+    KeyCol& rel_side = build_rel ? build[c] : probe[c];
+    KeyCol& new_side = build_rel ? probe[c] : build[c];
     rel_side.col = rel.cols[bo];
     rel_side.ids = rel_ids[static_cast<size_t>(rel.inputs[bo])];
-    KeySide new_side;
     new_side.col = rel.cols[no];
     new_side.ids = sel.data();
-    build[c] = build_rel ? rel_side : new_side;
-    probe[c] = build_rel ? new_side : rel_side;
+    probe_int64 &= probe[c].col->type == ColumnType::kInt64;
     if (probe[c].col->type == ColumnType::kString) {
       // String keys compare by content: translate the probe dictionary into
       // build codes once, so the hot loop compares integers.
-      const Column& bc = *build[c].col;
-      std::unordered_map<std::string_view, int32_t> build_codes;
-      if (bc.type == ColumnType::kString) {
-        build_codes.reserve(bc.dict.size());
-        for (size_t i = 0; i < bc.dict.size(); ++i) {
-          build_codes.emplace(bc.dict[i], static_cast<int32_t>(i));
-        }
-      }
-      const std::vector<std::string>& pd = probe[c].col->dict;
-      probe[c].translate = true;
-      probe[c].xlat.assign(pd.size(), -1);
-      for (size_t i = 0; i < pd.size(); ++i) {
-        auto it = build_codes.find(pd[i]);
-        if (it != build_codes.end()) probe[c].xlat[i] = it->second;
-      }
+      probe[c].xlat = TranslateDict(*probe[c].col, *build[c].col);
     }
   }
+  KeyTable table(std::move(build), nb, NullKeys::kNeverMatch, probe_int64, nb);
 
-  // Build: distinct keys in an open-addressing table, then every key's
-  // build positions laid out contiguously in insertion order.
-  struct KeyRec {
-    uint64_t hash;
-    uint32_t first;  // into `positions`
-    uint32_t count;
-  };
-  size_t capacity = 16;
-  while (capacity < 2 * nb) capacity <<= 1;
-  const size_t mask = capacity - 1;
-  std::vector<uint32_t> slots(capacity, kNoEntry);
-  std::vector<KeyRec> key_recs;
-  std::vector<uint64_t> key_words;
-  std::vector<uint32_t> entry_key, entry_pos;
-  entry_key.reserve(nb);
-  entry_pos.reserve(nb);
-  std::vector<uint64_t> kw(width);
-
-  auto find_slot = [&](uint64_t h) {
-    size_t s = h & mask;
-    while (slots[s] != kNoEntry) {
-      uint32_t id = slots[s];
-      if (key_recs[id].hash == h &&
-          std::equal(kw.begin(), kw.end(), key_words.begin() + id * width)) {
-        break;
-      }
-      s = (s + 1) & mask;
-    }
-    return s;
-  };
-
+  // Build: each build position's key id, then every key's build positions
+  // laid out contiguously in insertion order.
+  std::vector<uint32_t> build_key(nb);
   for (size_t base = 0; base < nb; base += kBatchRows) {
     const size_t end = std::min(nb, base + kBatchRows);
-    if (ctx != nullptr && !ctx->TickRows(end - base)) return;
-    for (size_t pos = base; pos < end; ++pos) {
-      bool ok = true;
-      for (size_t c = 0; c < nk && ok; ++c) {
-        ok = EncodeJoinKey(build[c], pos, &kw[2 * c]);
-      }
-      if (!ok) continue;
-      const uint64_t h = HashWords(kw.data(), width);
-      const size_t s = find_slot(h);
-      if (slots[s] == kNoEntry) {
-        slots[s] = static_cast<uint32_t>(key_recs.size());
-        key_recs.push_back(KeyRec{h, 0, 0});
-        key_words.insert(key_words.end(), kw.begin(), kw.end());
-      }
-      ++key_recs[slots[s]].count;
-      entry_key.push_back(slots[s]);
-      entry_pos.push_back(static_cast<uint32_t>(pos));
-    }
+    if (ctx != nullptr && !ctx->TickRows(end - base)) return table.form();
+    table.Insert(base, end - base, build_key.data() + base);
   }
-  uint32_t offset = 0;
-  for (KeyRec& k : key_recs) {
-    k.first = offset;
-    offset += k.count;
+  std::vector<uint32_t> first(table.size() + 1, 0);  // key id -> positions
+  for (uint32_t id : build_key) {
+    if (id != kNoKey) ++first[id + 1];
   }
-  std::vector<uint32_t> positions(entry_pos.size());
+  for (size_t id = 0; id < table.size(); ++id) first[id + 1] += first[id];
+  std::vector<uint32_t> positions(first.back());
   {
-    std::vector<uint32_t> cursor(key_recs.size());
-    for (size_t id = 0; id < key_recs.size(); ++id) {
-      cursor[id] = key_recs[id].first;
-    }
-    for (size_t e = 0; e < entry_pos.size(); ++e) {
-      positions[cursor[entry_key[e]]++] = entry_pos[e];
+    std::vector<uint32_t> cursor(first.begin(), first.end() - 1);
+    for (size_t pos = 0; pos < nb; ++pos) {
+      const uint32_t id = build_key[pos];
+      if (id != kNoKey) positions[cursor[id]++] = static_cast<uint32_t>(pos);
     }
   }
 
   // Probe in order; each hit emits its build positions in insertion order —
-  // the row HashJoin's output order.
-  SelVector out_rel, out_new;
+  // the row HashJoin's output order. Emitted: relation positions, and the
+  // new input's rows.
+  SelVector out_rel, new_rows;
   out_rel.reserve(np);
-  out_new.reserve(np);
+  new_rows.reserve(np);
+  std::array<uint32_t, kBatchRows> hits;
   for (size_t base = 0; base < np; base += kBatchRows) {
     const size_t end = std::min(np, base + kBatchRows);
-    if (ctx != nullptr && !ctx->TickRows(end - base)) return;
-    for (size_t pos = base; pos < end; ++pos) {
-      bool ok = true;
-      for (size_t c = 0; c < nk && ok; ++c) {
-        ok = EncodeJoinKey(probe[c], pos, &kw[2 * c]);
-      }
-      if (!ok) continue;
-      const size_t s = find_slot(HashWords(kw.data(), width));
-      if (slots[s] == kNoEntry) continue;
-      const KeyRec& k = key_recs[slots[s]];
-      if (ctx != nullptr && !ctx->TickRows(k.count)) return;
-      const uint32_t* hit = positions.data() + k.first;
-      for (uint32_t i = 0; i < k.count; ++i) {
-        out_rel.push_back(build_rel ? hit[i] : static_cast<uint32_t>(pos));
-        out_new.push_back(build_rel ? static_cast<uint32_t>(pos) : hit[i]);
+    if (ctx != nullptr && !ctx->TickRows(end - base)) return table.form();
+    table.Find(probe, base, end - base, hits.data());
+    for (size_t k = 0; k < end - base; ++k) {
+      const uint32_t id = hits[k];
+      if (id == kNoKey) continue;
+      const uint32_t count = first[id + 1] - first[id];
+      if (ctx != nullptr && !ctx->TickRows(count)) return table.form();
+      const uint32_t* hit = positions.data() + first[id];
+      const uint32_t pos = static_cast<uint32_t>(base + k);
+      for (uint32_t i = 0; i < count; ++i) {
+        out_rel.push_back(build_rel ? hit[i] : pos);
+        new_rows.push_back(sel[build_rel ? pos : hit[i]]);
       }
     }
   }
@@ -673,35 +895,16 @@ void JoinIndex::HashJoin(const RelationColumns& rel,
     rows_[u] = std::move(joined);
     identity_[u] = false;
   }
-  SelVector joined(out_new.size());
-  for (size_t m = 0; m < out_new.size(); ++m) joined[m] = sel[out_new[m]];
-  rows_[static_cast<size_t>(input)] = std::move(joined);
+  rows_[static_cast<size_t>(input)] = std::move(new_rows);
   bound_.push_back(input);
   size_ = out_rel.size();
+  return table.form();
 }
 
 // ---------------------------------------------------------------------------
 // Aggregation.
 
 namespace {
-
-/// Packed canonical group key: (tag, bits) per grouping column, zero-padded
-/// to the maximum width so the map type is fixed. Tags: 0 NULL, 1 integer
-/// space (INT64 and integral DOUBLE collapse here — CanonicalKey's rule),
-/// 2 non-integral DOUBLE (IEEE bits), 3 string (dictionary code).
-using GroupKey = std::array<uint64_t, 2 * VectorizedAggregation::kMaxGroupCols>;
-
-struct GroupKeyHash {
-  size_t words;
-  size_t operator()(const GroupKey& k) const {
-    uint64_t h = 1469598103934665603ULL;
-    for (size_t i = 0; i < words; ++i) {
-      h ^= k[i];
-      h *= 1099511628211ULL;
-    }
-    return static_cast<size_t>(h);
-  }
-};
 
 /// Mirrors Aggregator's accumulator state; which fields are live is decided
 /// by the compiled (fn, stream) pair, so the struct carries no tags.
@@ -714,39 +917,6 @@ struct AggState {
   int32_t ext_code = -1;
   bool any = false;
 };
-
-inline void EncodeKeyCol(const Column& c, size_t r, uint64_t* tag,
-                         uint64_t* bits) {
-  if (c.IsNull(r)) {
-    *tag = 0;
-    *bits = 0;
-    return;
-  }
-  switch (c.type) {
-    case ColumnType::kInt64:
-      *tag = 1;
-      *bits = static_cast<uint64_t>(c.i64[r]);
-      break;
-    case ColumnType::kDouble: {
-      double d = c.f64[r];
-      int64_t i = static_cast<int64_t>(d);
-      if (static_cast<double>(i) == d) {
-        *tag = 1;
-        *bits = static_cast<uint64_t>(i);
-      } else {
-        *tag = 2;
-        *bits = std::bit_cast<uint64_t>(d);
-      }
-      break;
-    }
-    case ColumnType::kString:
-      *tag = 3;
-      *bits = static_cast<uint64_t>(static_cast<uint32_t>(c.codes[r]));
-      break;
-    case ColumnType::kMixed:
-      break;  // rejected at Compile
-  }
-}
 
 }  // namespace
 
@@ -803,46 +973,50 @@ bool VectorizedAggregation::Compile(const RelationColumns& rel,
 }
 
 std::vector<Row> VectorizedAggregation::Run(const RowIds& ids, size_t total,
-                                            ExecContext* ctx) const {
+                                            ExecContext* ctx,
+                                            KeyForm* keys) const {
   const size_t nspecs = aggs_.size();
   const size_t ng = group_cols_.size();
   auto ids_of = [&ids](int input) { return ids[static_cast<size_t>(input)]; };
 
-  std::unordered_map<GroupKey, uint32_t, GroupKeyHash> gmap(
-      16, GroupKeyHash{2 * ng});
   std::vector<uint32_t> first_pos;  // each group's first relation position
   std::vector<AggState> states;
+  std::vector<const uint32_t*> group_ids(ng);
+  std::optional<KeyTable> groups;
   if (ng == 0) {
     // Global aggregate: exactly one group, present even on empty input.
     first_pos.push_back(0);
     states.resize(nspecs);
+  } else {
+    std::vector<KeyCol> cols(ng);
+    for (size_t g = 0; g < ng; ++g) {
+      group_ids[g] = ids_of(group_inputs_[g]);
+      cols[g].col = group_cols_[g];
+      cols[g].ids = group_ids[g];
+    }
+    groups.emplace(std::move(cols), total, NullKeys::kOwnGroup,
+                   /*direct_ok=*/true, std::min(total, kBatchRows));
   }
-  std::vector<const uint32_t*> group_ids(ng);
-  for (size_t g = 0; g < ng; ++g) group_ids[g] = ids_of(group_inputs_[g]);
+  if (keys != nullptr) *keys = groups ? groups->form() : KeyForm{};
 
   std::vector<uint32_t> gids(kBatchRows);
   for (size_t base = 0; base < total; base += kBatchRows) {
     const size_t bn = std::min(kBatchRows, total - base);
     if (ctx != nullptr && !ctx->TickRows(bn)) break;
 
-    // Stage 1: group-id per position.
+    // Stage 1: group id per position; ids are dense in first-encountered
+    // order, so a new id is the next group.
     if (ng == 0) {
       std::fill_n(gids.begin(), bn, 0u);
     } else {
-      GroupKey key{};
-      for (size_t k = 0; k < bn; ++k) {
-        const size_t pos = base + k;
-        for (size_t g = 0; g < ng; ++g) {
-          EncodeKeyCol(*group_cols_[g], RowAt(group_ids[g], pos), &key[2 * g],
-                       &key[2 * g + 1]);
+      groups->Insert(base, bn, gids.data());
+      if (groups->size() > first_pos.size()) {
+        for (size_t k = 0; k < bn; ++k) {
+          if (gids[k] == first_pos.size()) {
+            first_pos.push_back(static_cast<uint32_t>(base + k));
+          }
         }
-        auto [it, inserted] =
-            gmap.try_emplace(key, static_cast<uint32_t>(first_pos.size()));
-        if (inserted) {
-          first_pos.push_back(static_cast<uint32_t>(pos));
-          states.resize(states.size() + nspecs);
-        }
-        gids[k] = it->second;
+        states.resize(first_pos.size() * nspecs);
       }
     }
 

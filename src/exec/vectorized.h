@@ -2,6 +2,7 @@
 #define AQV_EXEC_VECTORIZED_H_
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -109,13 +110,26 @@ class CompiledFilter {
   std::vector<Pred> preds_;
 };
 
-/// Hash-group aggregation compiled against a relation's columns: group keys
-/// are packed into fixed-width canonical (tag, bits) words (integral
-/// doubles collapse to INT64, exactly like the row engine's CanonicalKey),
-/// and each aggregate runs a typed accumulation loop chosen once from the
-/// column's storage class. State mirrors Aggregator field-for-field — the
-/// double sum is accumulated in relation-position order, so SUM/AVG results
-/// are bit-identical to the row engine, not merely close.
+/// Which form of key table keyed a join or a group-by (see the key table in
+/// vectorized.cc), for EXPLAIN ANALYZE: a direct-indexed array over a
+/// single INT64 key's [min, max] span, or the hashed table for every other
+/// key. kNone: no key table ran (a global aggregate).
+struct KeyForm {
+  enum class Kind : uint8_t { kNone, kDirect, kHashed };
+  Kind kind = Kind::kNone;
+  uint64_t span = 0;  // kDirect: max - min + 1 of the key column
+
+  /// "direct[<span>]", "hashed" or "none".
+  std::string ToString() const;
+};
+
+/// Hash-group aggregation compiled against a relation's columns: group ids
+/// come from the key table, which keys canonical values (integral doubles
+/// collapse to INT64, exactly like the row engine's CanonicalKey), and each
+/// aggregate runs a typed accumulation loop chosen once from the column's
+/// storage class. State mirrors Aggregator field-for-field — the double sum
+/// is accumulated in relation-position order, so SUM/AVG results are
+/// bit-identical to the row engine, not merely close.
 class VectorizedAggregation {
  public:
   /// Compiles grouping by `group_cols` with aggregates `aggs` (ordinals of
@@ -132,8 +146,10 @@ class VectorizedAggregation {
   /// Output rows are [group values..., aggregate values...] like
   /// GroupAggregate; group values are the first-encountered originals and
   /// a global aggregate over empty input still emits one row. Charges one
-  /// row per position in kBatchRows chunks.
-  std::vector<Row> Run(const RowIds& ids, size_t n, ExecContext* ctx) const;
+  /// row per position in kBatchRows chunks. `keys`, when given, receives
+  /// the form of key table that grouped the rows.
+  std::vector<Row> Run(const RowIds& ids, size_t n, ExecContext* ctx,
+                       KeyForm* keys = nullptr) const;
 
   static constexpr size_t kMaxGroupCols = 4;
 
@@ -178,10 +194,11 @@ class JoinIndex {
   /// column of `input`), building on the smaller side like HashJoin. NULL
   /// keys never match; numeric keys match across INT64/DOUBLE; string keys
   /// match by content across dictionaries. Charges like HashJoin: one row
-  /// per build row, per probe row and per match.
-  void HashJoin(const RelationColumns& rel,
-                const std::vector<std::pair<int, int>>& keys, int input,
-                const SelVector& sel, ExecContext* ctx);
+  /// per build row, per probe row and per match. Returns the form of key
+  /// table that keyed the build side.
+  KeyForm HashJoin(const RelationColumns& rel,
+                   const std::vector<std::pair<int, int>>& keys, int input,
+                   const SelVector& sel, ExecContext* ctx);
 
   /// Keeps the positions satisfying `filter` (compiled against the
   /// relation's columns). Charges one row per position.

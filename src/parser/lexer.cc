@@ -12,6 +12,12 @@ bool Token::IsKeyword(std::string_view keyword) const {
   return kind == TokenKind::kIdentifier && EqualsIgnoreCase(text, keyword);
 }
 
+namespace {
+
+constexpr uint64_t kInt64MinMagnitude = uint64_t{1} << 63;
+
+}  // namespace
+
 Result<std::vector<Token>> Tokenize(std::string_view sql) {
   std::vector<Token> tokens;
   size_t i = 0;
@@ -56,8 +62,15 @@ Result<std::vector<Token>> Tokenize(std::string_view sql) {
         t.kind = TokenKind::kFloat;
         parsed = std::from_chars(first, last, t.float_value);
       } else {
+        // A sign is its own token, so this is the magnitude: 2^63 lexes to
+        // INT64_MIN, and SignedIntValue lets only a leading minus keep it.
         t.kind = TokenKind::kInteger;
-        parsed = std::from_chars(first, last, t.int_value);
+        uint64_t magnitude = 0;
+        parsed = std::from_chars(first, last, magnitude);
+        if (parsed.ec == std::errc() && magnitude > kInt64MinMagnitude) {
+          parsed.ec = std::errc::result_out_of_range;
+        }
+        t.int_value = static_cast<int64_t>(magnitude);
       }
       if (parsed.ec == std::errc::result_out_of_range) {
         return Status::InvalidArgument(

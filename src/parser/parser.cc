@@ -307,8 +307,8 @@ Result<Operand> Parser::ParseOperand(const BindingScope& scope) {
     bool negate = Next().kind == TokenKind::kMinus;
     const Token& num = Peek();
     if (num.kind == TokenKind::kInteger) {
-      int64_t v = Next().int_value;
-      return Operand::Constant(Value::Int64(negate ? -v : v));
+      AQV_ASSIGN_OR_RETURN(int64_t v, SignedIntValue(Next(), negate));
+      return Operand::Constant(Value::Int64(v));
     }
     if (num.kind == TokenKind::kFloat) {
       double v = Next().float_value;
@@ -321,7 +321,7 @@ Result<Operand> Parser::ParseOperand(const BindingScope& scope) {
   const Token& t = Peek();
   switch (t.kind) {
     case TokenKind::kInteger: {
-      int64_t v = Next().int_value;
+      AQV_ASSIGN_OR_RETURN(int64_t v, SignedIntValue(Next(), false));
       return Operand::Constant(Value::Int64(v));
     }
     case TokenKind::kFloat: {
@@ -543,8 +543,8 @@ Result<SetExpr> Parser::ParseSetExpr(const BindingScope& scope) {
   const Token& lit = Peek();
   switch (lit.kind) {
     case TokenKind::kInteger: {
-      int64_t v = Next().int_value;
-      expr.literal = Value::Int64(negate ? -v : v);
+      AQV_ASSIGN_OR_RETURN(int64_t v, SignedIntValue(Next(), negate));
+      expr.literal = Value::Int64(v);
       break;
     }
     case TokenKind::kFloat: {
@@ -698,8 +698,8 @@ Result<InsertStatement> ParseInsert(std::string_view sql) {
     const Token& t = peek();
     switch (t.kind) {
       case TokenKind::kInteger: {
-        int64_t v = next().int_value;
-        return Value::Int64(negate ? -v : v);
+        AQV_ASSIGN_OR_RETURN(int64_t v, SignedIntValue(next(), negate));
+        return Value::Int64(v);
       }
       case TokenKind::kFloat: {
         double v = next().float_value;

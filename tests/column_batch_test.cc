@@ -3,12 +3,14 @@
 // string dictionary must survive growth well past its initial bucket count,
 // and the compiled vectorized operators must agree with their row-engine
 // counterparts on inputs engineered to straddle batch boundaries (group
-// splits, extremum ties). The last tests are the mid-operator governance
-// regression: a deadline or row budget must cancel INSIDE a 1M-row
-// vectorized scan, at batch granularity, not after the operator finishes.
+// splits, extremum ties), and INT64 columns must carry their exact value
+// range. The last tests are the mid-operator governance regression: a
+// deadline or row budget must cancel INSIDE a 1M-row vectorized scan, at
+// batch granularity, not after the operator finishes.
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -106,6 +108,56 @@ TEST(ColumnBatchTest, RoundTripsRowsAtEveryBoundarySize) {
       }
       EXPECT_EQ(CompareRows(rebuilt[i], rows[i]), 0) << "row " << i;
     }
+  }
+}
+
+// The per-column value range FromRows keeps for INT64 columns: the span
+// the key table's direct form is chosen by.
+TEST(ColumnBatchTest, Int64ColumnRangeCoversExactlyTheNonNullValues) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  {
+    SCOPED_TRACE("all NULL");
+    ColumnarTable ct = ColumnarTable::FromRows(
+        {Row{Value::Null()}, Row{Value::Null()}, Row{Value::Null()}}, 1);
+    EXPECT_FALSE(ct.col(0).HasRange());
+  }
+  {
+    SCOPED_TRACE("empty");
+    EXPECT_FALSE(ColumnarTable::FromRows({}, 1).col(0).HasRange());
+  }
+  {
+    SCOPED_TRACE("single row");
+    ColumnarTable ct = ColumnarTable::FromRows({Row{Value::Int64(-7)}}, 1);
+    ASSERT_TRUE(ct.col(0).HasRange());
+    EXPECT_EQ(ct.col(0).min, -7);
+    EXPECT_EQ(ct.col(0).max, -7);
+  }
+  {
+    SCOPED_TRACE("INT64 extremes around NULLs");
+    ColumnarTable ct = ColumnarTable::FromRows(
+        {Row{Value::Int64(3)}, Row{Value::Null()}, Row{Value::Int64(kMax)},
+         Row{Value::Int64(kMin)}, Row{Value::Null()}},
+        1);
+    ASSERT_TRUE(ct.col(0).HasRange());
+    EXPECT_EQ(ct.col(0).min, kMin);
+    EXPECT_EQ(ct.col(0).max, kMax);
+  }
+  {
+    SCOPED_TRACE("NULLs do not count as 0");
+    ColumnarTable ct = ColumnarTable::FromRows(
+        {Row{Value::Null()}, Row{Value::Int64(5)}, Row{Value::Int64(9)}}, 1);
+    EXPECT_EQ(ct.col(0).min, 5);
+    EXPECT_EQ(ct.col(0).max, 9);
+  }
+  {
+    SCOPED_TRACE("degraded to kMixed, and other types");
+    ColumnarTable ct = ColumnarTable::FromRows(
+        {Row{Value::Int64(1), Value::Double(2.0), Value::String("a")},
+         Row{Value::String("x"), Value::Double(3.0), Value::String("b")}},
+        3);
+    ASSERT_EQ(ct.col(0).type, ColumnType::kMixed);
+    for (int c = 0; c < 3; ++c) EXPECT_FALSE(ct.col(c).HasRange()) << c;
   }
 }
 

@@ -1,3 +1,5 @@
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "ir/printer.h"
@@ -58,6 +60,53 @@ TEST(LexerTest, RefusesOutOfRangeAndMalformedNumerals) {
   // Parsers surface the lexer's refusal instead of inserting a prefix.
   EXPECT_EQ(ParseInsert("INSERT INTO T VALUES (1.2.3, 4)").status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(LexerTest, Int64MinLiteralNeedsItsMinus) {
+  // A sign is its own token, so INT64_MIN is a minus and the magnitude
+  // 2^63: accepted under a minus in every literal position, refused bare
+  // or one past it.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  ASSERT_OK_AND_ASSIGN(
+      InsertStatement ins,
+      ParseInsert("INSERT INTO T VALUES (-9223372036854775808, 1)"));
+  ASSERT_EQ(ins.rows.size(), 1u);
+  EXPECT_EQ(ins.rows[0][0], Value::Int64(kMin));
+
+  ASSERT_OK_AND_ASSIGN(
+      Query q, ParseQuery("SELECT A1 FROM R1(A1, B1) "
+                          "WHERE A1 = -9223372036854775808"));
+  ASSERT_EQ(q.where.size(), 1u);
+  EXPECT_EQ(q.where[0].rhs.constant, Value::Int64(kMin));
+
+  Catalog catalog;
+  ASSERT_OK(catalog.AddTable(TableDef("T", {"A", "B"})));
+  ASSERT_OK_AND_ASSIGN(
+      UpdateStatement upd,
+      ParseUpdate("UPDATE T SET B = -9223372036854775808 WHERE A = 1",
+                  &catalog));
+  ASSERT_EQ(upd.sets.size(), 1u);
+  EXPECT_EQ(upd.sets[0].expr.literal, Value::Int64(kMin));
+
+  for (const char* sql : {"INSERT INTO T VALUES (9223372036854775808, 1)",
+                          "INSERT INTO T VALUES (+9223372036854775808, 1)",
+                          "INSERT INTO T VALUES (-9223372036854775809, 1)"}) {
+    EXPECT_EQ(ParseInsert(sql).status().code(), StatusCode::kInvalidArgument)
+        << sql;
+  }
+  for (const char* sql :
+       {"SELECT A1 FROM R1(A1, B1) WHERE A1 = 9223372036854775808",
+        "SELECT A1 FROM R1(A1, B1) WHERE A1 = -9223372036854775809"}) {
+    EXPECT_EQ(ParseQuery(sql).status().code(), StatusCode::kInvalidArgument)
+        << sql;
+  }
+  for (const char* sql : {"UPDATE T SET B = 9223372036854775808",
+                          "UPDATE T SET B = A - 9223372036854775808",
+                          "UPDATE T SET B = -9223372036854775809"}) {
+    EXPECT_EQ(ParseUpdate(sql, &catalog).status().code(),
+              StatusCode::kInvalidArgument)
+        << sql;
+  }
 }
 
 TEST(ParserTest, PaperNotationRoundTrips) {

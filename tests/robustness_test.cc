@@ -3,6 +3,7 @@
 // the governed service (PR 4) holds the same "clean Status, no crash"
 // contract for fuzzed statements and fuzzed failpoint specs.
 
+#include <limits>
 #include <random>
 #include <string>
 
@@ -170,6 +171,46 @@ TEST(RobustnessTest, ServiceRefusesUnrepresentableNumerals) {
   ASSERT_OK_AND_ASSIGN(Table rows, service.Select("SELECT K_1, X_1 FROM T"));
   ASSERT_EQ(rows.num_rows(), 1u);
   EXPECT_EQ(rows.rows()[0][1], Value::Int64(2));
+}
+
+TEST(RobustnessTest, ServiceTakesInt64MinLiteralsAndRefusesOnePast) {
+  // INT64_MIN is written as a minus and the magnitude 2^63: INSERT, WHERE
+  // and UPDATE SET take it; one past it, or the bare magnitude, is refused
+  // and leaves the table unchanged.
+  QueryService service;
+  ASSERT_OK(service.Execute("CREATE TABLE T(K, X)").status());
+  ASSERT_OK(
+      service.Execute("INSERT INTO T VALUES (-9223372036854775808, 1), (2, 3)")
+          .status());
+  ASSERT_OK(service
+                .Execute("UPDATE T SET X = -9223372036854775808 "
+                         "WHERE K = -9223372036854775808")
+                .status());
+  ASSERT_OK_AND_ASSIGN(
+      Table hit,
+      service.Select("SELECT K_1, X_1 FROM T WHERE K_1 = -9223372036854775808"));
+  ASSERT_EQ(hit.num_rows(), 1u);
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(hit.rows()[0][0], Value::Int64(kMin));
+  EXPECT_EQ(hit.rows()[0][1], Value::Int64(kMin));
+  for (const char* sql :
+       {"INSERT INTO T VALUES (-9223372036854775809, 1)",
+        "INSERT INTO T VALUES (9223372036854775808, 1)",
+        "SELECT K_1 FROM T WHERE K_1 = -9223372036854775809",
+        "SELECT K_1 FROM T WHERE K_1 = 9223372036854775808",
+        "UPDATE T SET X = -9223372036854775809 WHERE K = 2",
+        "UPDATE T SET X = 9223372036854775808 WHERE K = 2"}) {
+    Result<StatementResult> r = service.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << sql << ": " << r.status().ToString();
+  }
+  ASSERT_OK_AND_ASSIGN(Table rows,
+                       service.Select("SELECT K_1, X_1 FROM T WHERE K_1 = 2"));
+  ASSERT_EQ(rows.num_rows(), 1u);
+  EXPECT_EQ(rows.rows()[0][1], Value::Int64(3));
+  ASSERT_OK_AND_ASSIGN(Table all, service.Select("SELECT K_1 FROM T"));
+  EXPECT_EQ(all.num_rows(), 2u);
 }
 
 TEST(RobustnessTest, GovernedServiceSurvivesFuzzedStatements) {

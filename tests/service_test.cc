@@ -358,6 +358,50 @@ TEST(ServiceObservabilityTest, ExplainAnalyzeShowsActualRowsAndTimings) {
   EXPECT_EQ(service->Stats().queries_served, 1u);
 }
 
+TEST(ServiceObservabilityTest, ExplainAnalyzeNamesTheKeyTableThatRan) {
+  // The telephony join no view answers (Calls x Customer for one month):
+  // its INT64 join key Cust_Id (0-999) and grouping key Area_Code
+  // (200-999) are dense, so both take the direct-indexed key table; a
+  // string grouping key takes the hashed one. The row engine names none.
+  const std::string join =
+      "SELECT %s, SUM(Charge_1) AS Spend FROM Calls, Customer "
+      "WHERE Cust_Id_1 = Cust_Id_2 AND Year_1 = 1994 AND Month_1 = 3 "
+      "GROUPBY %s";
+  auto sql = [&](const char* group) {
+    char buf[256];
+    std::snprintf(buf, sizeof(buf), join.c_str(), group, group);
+    return std::string(buf);
+  };
+  std::unique_ptr<QueryService> service =
+      MakeTelephonyService(ServiceOptions{}, 20000);
+  StatementResult dense =
+      ExecuteOrDie(*service, "EXPLAIN ANALYZE " + sql("Area_Code_2"));
+  EXPECT_NE(dense.message.find(
+                "HashJoin(Cust_Id_1 = Cust_Id_2; keys: direct[1000]) with "),
+            std::string::npos)
+      << dense.message;
+  EXPECT_NE(dense.message.find("HashAggregate(groups: Area_Code_2; "
+                               "aggregates: SUM(Charge_1); "
+                               "keys: direct[800]) [vec]"),
+            std::string::npos)
+      << dense.message;
+  StatementResult strings =
+      ExecuteOrDie(*service, "EXPLAIN ANALYZE " + sql("Cust_Name_2"));
+  EXPECT_NE(strings.message.find("aggregates: SUM(Charge_1); keys: hashed)"),
+            std::string::npos)
+      << strings.message;
+
+  ServiceOptions row_options;
+  row_options.vectorized = false;
+  std::unique_ptr<QueryService> rows = MakeTelephonyService(row_options, 20000);
+  StatementResult plain =
+      ExecuteOrDie(*rows, "EXPLAIN ANALYZE " + sql("Area_Code_2"));
+  EXPECT_NE(plain.message.find("HashJoin(Cust_Id_1 = Cust_Id_2) with "),
+            std::string::npos)
+      << plain.message;
+  EXPECT_EQ(plain.message.find("keys: "), std::string::npos) << plain.message;
+}
+
 TEST(ServiceObservabilityTest, ExplainAnalyzeMatchesPlainSelectRows) {
   QueryService service;
   EXPECT_OK(service.Execute("CREATE TABLE R(A, B)").status());

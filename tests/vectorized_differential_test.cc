@@ -14,7 +14,13 @@
 //       keys, INT64 keys against integral DOUBLE keys, duplicate build
 //       keys, 3-way, cyclic and self joins, cross-input non-equi filters,
 //       post-join HAVING/DISTINCT, and NULL bitmaps crossing 64-row words
-//       and 1024-row batches — compared bit for bit, types included.
+//       and 1024-row batches — compared bit for bit, types included;
+//   (e) the key table's two forms: INT64 key spans at and one past the
+//       direct limit for joins and group-bys, negative keys, probe keys
+//       outside the build range, INT64_MIN/INT64_MAX keys (hashed: their
+//       span overflows), NULL keys, INT64 builds against DOUBLE probes,
+//       duplicate build keys in insertion order, an empty build side, and
+//       groups in first-encountered order.
 //
 // Engagement is asserted — the oracle is vacuous if the columnar path
 // silently falls back everywhere — and every failure prints the seed
@@ -334,6 +340,62 @@ Database JoinOracleDatabase(uint64_t seed) {
   return db;
 }
 
+/// `sql` through both engines over `db`: the batched engine must take the
+/// batched path and return the row engine's rows type-and-bit-exact (in
+/// the same order when `in_order`), and both must charge the same rows, so
+/// a row budget trips at the same statement size in either. Returns the
+/// batched run's EXPLAIN ANALYZE operator labels, one a line.
+std::string ExpectBatchedMatchesRowEngine(const Database& db,
+                                          const std::string& sql,
+                                          bool in_order = false) {
+  Result<Query> q = ParseQuery(sql);
+  EXPECT_TRUE(q.ok()) << q.status().ToString();
+  if (!q.ok()) return "";
+  Evaluator vec_eval(&db);
+  Evaluator row_eval(&db, nullptr, RowOptions());
+  ExecContext vec_ctx, row_ctx;
+  PlanProfile profile;
+  vec_eval.set_context(&vec_ctx);
+  vec_eval.set_profile(&profile);
+  row_eval.set_context(&row_ctx);
+  Result<Table> vec = vec_eval.Execute(*q);
+  Result<Table> row = row_eval.Execute(*q);
+  EXPECT_TRUE(vec.ok()) << vec.status().ToString();
+  EXPECT_TRUE(row.ok()) << row.status().ToString();
+  if (!vec.ok() || !row.ok()) return "";
+  // Every case must take the batched path, not fall back.
+  EXPECT_GE(vec_eval.stats().vectorized_ops, 2u);
+  EXPECT_EQ(row_eval.stats().vectorized_ops, 0u);
+  EXPECT_TRUE(TypedRows(*vec) == TypedRows(*row))
+      << DescribeMultisetDifference(*vec, *row) << "\nvectorized:\n"
+      << vec->ToString() << "row engine:\n" << row->ToString();
+  if (in_order) {
+    std::vector<std::string> vec_rows, row_rows;
+    for (const Row& r : vec->rows()) vec_rows.push_back(TypedRow(r));
+    for (const Row& r : row->rows()) row_rows.push_back(TypedRow(r));
+    EXPECT_TRUE(vec_rows == row_rows) << "rows differ in order";
+  }
+  const size_t charged = row_ctx.rows_charged();
+  EXPECT_EQ(vec_ctx.rows_charged(), charged);
+  for (size_t budget : {charged, charged - 1}) {
+    for (bool vectorized : {true, false}) {
+      EvalOptions options;
+      options.vectorized = vectorized;
+      Evaluator eval(&db, nullptr, options);
+      ExecContext ctx;
+      ctx.set_row_budget(budget);
+      eval.set_context(&ctx);
+      Result<Table> r = eval.Execute(*q);
+      EXPECT_EQ(r.ok(), budget == charged)
+          << "vectorized=" << vectorized << " budget=" << budget << ": "
+          << r.status().ToString();
+    }
+  }
+  std::string labels;
+  for (const OperatorProfile& op : profile.ops) labels += op.label + "\n";
+  return labels;
+}
+
 TEST(VectorizedDifferentialTest, BatchedJoinMatchesRowEngineBitForBit) {
   const char* kR = "R(K1, S1, D1, V1)";
   const char* kT = "T(K2, S2, D2, W2)";
@@ -388,39 +450,188 @@ TEST(VectorizedDifferentialTest, BatchedJoinMatchesRowEngineBitForBit) {
     Database db = JoinOracleDatabase(seed);
     for (const Case& c : cases) {
       SCOPED_TRACE(c.what + ": " + c.sql);
-      ASSERT_OK_AND_ASSIGN(Query q, ParseQuery(c.sql));
-      Evaluator vec_eval(&db);
-      Evaluator row_eval(&db, nullptr, RowOptions());
-      ExecContext vec_ctx, row_ctx;
-      vec_eval.set_context(&vec_ctx);
-      row_eval.set_context(&row_ctx);
-      ASSERT_OK_AND_ASSIGN(Table vec, vec_eval.Execute(q));
-      ASSERT_OK_AND_ASSIGN(Table row, row_eval.Execute(q));
-      // Every case must take the batched join, not fall back.
-      EXPECT_GE(vec_eval.stats().vectorized_ops, 2u);
-      EXPECT_EQ(row_eval.stats().vectorized_ops, 0u);
-      EXPECT_TRUE(TypedRows(vec) == TypedRows(row))
-          << DescribeMultisetDifference(vec, row) << "\nvectorized:\n"
-          << vec.ToString() << "row engine:\n" << row.ToString();
-      // Both engines charge the same rows, so a row budget trips at the
-      // same statement size in either.
-      const size_t charged = row_ctx.rows_charged();
-      EXPECT_EQ(vec_ctx.rows_charged(), charged);
-      for (size_t budget : {charged, charged - 1}) {
-        for (bool vectorized : {true, false}) {
-          EvalOptions options;
-          options.vectorized = vectorized;
-          Evaluator eval(&db, nullptr, options);
-          ExecContext ctx;
-          ctx.set_row_budget(budget);
-          eval.set_context(&ctx);
-          Result<Table> r = eval.Execute(q);
-          EXPECT_EQ(r.ok(), budget == charged)
-              << "vectorized=" << vectorized << " budget=" << budget << ": "
-              << r.status().ToString();
-        }
+      ExpectBatchedMatchesRowEngine(db, c.sql);
+    }
+  }
+}
+
+/// B(K, V) and C(K, V) are 100-row build sides whose INT64 key spans
+/// exactly the direct form's limit (4 slots per keyed row: K in [0, 399])
+/// and one more (K in [0, 400]); their keys repeat and ~10% are NULL.
+/// P(K, D, W) is a 2000-row probe side: K in [-60, 460] (negative, and
+/// outside the build range on both ends), D integral doubles and halves,
+/// ~10% NULL. G(K, V) and H(K, V) are 300-row group-by inputs whose K spans
+/// 1200 and 1201 values from -600, ~10% NULL. X(K, V) and Y(K, W) hold
+/// INT64_MIN and INT64_MAX keys, inserted as SQL literals.
+Database KeyTableOracleDatabase(uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  auto payload = [&] {
+    return Value::Double(static_cast<double>(rng() % 100000) / 7.0);
+  };
+  auto key = [&](int64_t lo, int64_t hi) {
+    return rng() % 10 == 0
+               ? Value::Null()
+               : Value::Int64(lo + static_cast<int64_t>(
+                                       rng() % static_cast<uint64_t>(hi - lo + 1)));
+  };
+  // A build side: 40 distinct keys pinned to min and max, drawn with
+  // repeats.
+  auto build = [&](int64_t max) {
+    std::vector<int64_t> pool{0, max};
+    while (pool.size() < 40) {
+      pool.push_back(static_cast<int64_t>(rng() % static_cast<uint64_t>(max)));
+    }
+    Table t({"K", "V"});
+    for (size_t r = 0; r < 100; ++r) {
+      Value k = r < 2 ? Value::Int64(pool[r])
+                : rng() % 10 == 0 ? Value::Null()
+                                  : Value::Int64(pool[rng() % pool.size()]);
+      t.AddRowOrDie(Row{std::move(k), payload()});
+    }
+    return t;
+  };
+  auto groups = [&](int64_t span) {
+    Table t({"K", "V"});
+    for (size_t r = 0; r < 300; ++r) {
+      Value k = r == 0   ? Value::Int64(-600)
+                : r == 1 ? Value::Int64(-600 + span - 1)
+                         : key(-600, -600 + span - 1);
+      t.AddRowOrDie(Row{std::move(k), payload()});
+    }
+    return t;
+  };
+  Database db;
+  db.Put("B", build(399));
+  db.Put("C", build(400));
+  Table p({"K", "D", "W"});
+  for (size_t r = 0; r < 2000; ++r) {
+    Value d = rng() % 10 == 0
+                  ? Value::Null()
+                  : Value::Double(static_cast<double>(rng() % 410) - 5.0 +
+                                  (rng() % 4 == 0 ? 0.5 : 0.0));
+    p.AddRowOrDie(Row{key(-60, 460), std::move(d), payload()});
+  }
+  db.Put("P", std::move(p));
+  db.Put("G", groups(1200));
+  db.Put("H", groups(1201));
+  auto from_sql = [](std::vector<std::string> columns, const std::string& sql) {
+    Table t(std::move(columns));
+    Result<InsertStatement> ins = ParseInsert(sql);
+    EXPECT_TRUE(ins.ok()) << ins.status().ToString();
+    if (ins.ok()) {
+      for (Row& row : ins->rows) t.AddRowOrDie(std::move(row));
+    }
+    return t;
+  };
+  db.Put("X", from_sql({"K", "V"},
+                       "INSERT INTO X VALUES (-9223372036854775808, 1.5), "
+                       "(9223372036854775807, 2.25), (0, 3.125), (NULL, 4.0), "
+                       "(-9223372036854775808, 5.5), (-1, 6.75), "
+                       "(9223372036854775807, 7.0), (1, 8.5)"));
+  db.Put("Y", from_sql({"K", "W"},
+                       "INSERT INTO Y VALUES (9223372036854775807, 0.1), "
+                       "(-9223372036854775808, 0.2), (NULL, 0.3), (1, 0.4), "
+                       "(-9223372036854775807, 0.5), (0, 0.6), "
+                       "(9223372036854775806, 0.7), (-9223372036854775808, 0.8), "
+                       "(9223372036854775807, 0.9), (-1, 1.1), (2, 1.2), "
+                       "(0, 1.3)"));
+  return db;
+}
+
+/// The key table in both forms against the row engine: each case names the
+/// form its HashJoin or HashAggregate must report in EXPLAIN ANALYZE.
+TEST(VectorizedDifferentialTest, KeyTableFormsMatchRowEngineBitForBit) {
+  const char* kB = "B(K1, V1)";
+  const char* kC = "C(K1, V1)";
+  const char* kP = "P(K2, D2, W2)";
+  struct Case {
+    std::string what;
+    std::string sql;
+    std::string keys;  // expected in the profile's labels
+  };
+  const std::string bp = std::string(" FROM ") + kB + ", " + kP;
+  const std::vector<Case> cases = {
+      {"join key span at the direct limit, probe keys negative and outside",
+       "SELECT K1, SUM(W2) AS s, COUNT(V1) AS n" + bp +
+           " WHERE K1 = K2 GROUPBY K1",
+       "HashJoin(K1 = K2; keys: direct[400])"},
+      {"join key span one past the direct limit",
+       std::string("SELECT K1, SUM(W2) AS s, COUNT(V1) AS n FROM ") + kC +
+           ", " + kP + " WHERE K1 = K2 GROUPBY K1",
+       "HashJoin(K1 = K2; keys: hashed)"},
+      {"duplicate build keys sum in insertion order",
+       "SELECT K2, SUM(V1) AS s, MIN(V1) AS lo, MAX(V1) AS hi" + bp +
+           " WHERE K1 = K2 GROUPBY K2",
+       "keys: direct[400]"},
+      {"INT64 build keys against integral and fractional DOUBLE probes",
+       "SELECT K1, COUNT(D2) AS n, SUM(W2) AS s" + bp +
+           " WHERE K1 = D2 GROUPBY K1",
+       "HashJoin(K1 = D2; keys: hashed)"},
+      {"empty build side",
+       "SELECT K1, SUM(W2) AS s" + bp + " WHERE K1 = K2 AND V1 > 1e9 GROUPBY K1",
+       "HashJoin(K1 = K2; keys: hashed)"},
+      {"empty build side, global aggregate",
+       "SELECT COUNT(W2) AS n, SUM(W2) AS s" + bp +
+           " WHERE K1 = K2 AND V1 > 1e9",
+       "HashJoin(K1 = K2; keys: hashed)"},
+      {"INT64 extremes overflow the span: hashed join and group-by",
+       "SELECT K1, SUM(W2) AS s, COUNT(V1) AS n FROM X(K1, V1), Y(K2, W2) "
+       "WHERE K1 = K2 AND K1 > -9223372036854775808 GROUPBY K1",
+       "HashJoin(K1 = K2; keys: hashed)"},
+      {"INT64 extremes group-by, NULL its own group",
+       "SELECT K2, SUM(W2) AS s, COUNT(K2) AS n FROM Y(K2, W2) GROUPBY K2",
+       "keys: hashed)"},
+      {"group-by key span at the direct limit, negative keys, NULL group",
+       "SELECT K1, SUM(V1) AS s, COUNT(V1) AS n, MAX(V1) AS hi FROM G(K1, V1) "
+       "GROUPBY K1",
+       "keys: direct[1200])"},
+      {"group-by key span one past the direct limit",
+       "SELECT K1, SUM(V1) AS s, COUNT(V1) AS n, MAX(V1) AS hi FROM H(K1, V1) "
+       "GROUPBY K1",
+       "keys: hashed)"},
+  };
+  // Conjunctive joins, compared in order: probe order, then build
+  // insertion order.
+  const std::vector<Case> ordered = {
+      {"direct join projection", "SELECT K1, V1, W2" + bp + " WHERE K1 = K2",
+       "keys: direct[400]"},
+      {"hashed join projection",
+       std::string("SELECT K1, V1, W2 FROM ") + kC + ", " + kP +
+           " WHERE K1 = K2",
+       "keys: hashed"},
+      {"INT64 extremes join projection",
+       "SELECT K1, V1, W2 FROM X(K1, V1), Y(K2, W2) WHERE K1 = K2",
+       "keys: hashed"},
+  };
+  for (int round = 0; round < 3; ++round) {
+    uint64_t seed = TestSeed(24000) + static_cast<uint64_t>(round);
+    SCOPED_TRACE(SeedTrace(seed));
+    Database db = KeyTableOracleDatabase(seed);
+    for (bool in_order : {false, true}) {
+      for (const Case& c : in_order ? ordered : cases) {
+        SCOPED_TRACE(c.what + ": " + c.sql);
+        std::string labels = ExpectBatchedMatchesRowEngine(db, c.sql, in_order);
+        EXPECT_NE(labels.find(c.keys), std::string::npos) << labels;
       }
     }
+
+    // Groups come out first-encountered, with NULL one group at its first
+    // position.
+    ASSERT_OK_AND_ASSIGN(Query q,
+                         ParseQuery("SELECT K1, COUNT(V1) AS n FROM G(K1, V1) "
+                                    "GROUPBY K1"));
+    Evaluator eval(&db);
+    ASSERT_OK_AND_ASSIGN(Table grouped, eval.Execute(q));
+    std::vector<std::string> want;
+    std::set<std::string> seen;
+    for (const Row& row : db.GetShared("G")->rows()) {
+      std::string k = TypedRow({row[0]});
+      if (seen.insert(k).second) want.push_back(k);
+    }
+    std::vector<std::string> got;
+    for (const Row& row : grouped.rows()) got.push_back(TypedRow({row[0]}));
+    EXPECT_EQ(got, want);
+    EXPECT_TRUE(seen.count("N|") == 1);
   }
 }
 
