@@ -1,8 +1,11 @@
 #ifndef AQV_BENCH_BENCH_UTIL_H_
 #define AQV_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <vector>
 
 #include "base/result.h"
 
@@ -26,6 +29,25 @@ inline void CheckOrDie(const Status& status, const char* what) {
                  status.ToString().c_str());
     std::abort();
   }
+}
+
+/// The value of a "--name=value" argument, or nullptr when `arg` is not
+/// that flag (so unmatched argv entries can fall through, e.g. to
+/// google-benchmark).
+inline const char* FlagValue(const char* arg, const char* name) {
+  size_t len = std::strlen(name);
+  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
+    return arg + len + 1;
+  }
+  return nullptr;
+}
+
+/// Median of `v` (mean of the middle two for an even count); 0 when empty.
+inline double Median(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : (v[mid - 1] + v[mid]) / 2.0;
 }
 
 }  // namespace aqv

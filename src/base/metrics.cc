@@ -1,5 +1,6 @@
 #include "base/metrics.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -68,11 +69,14 @@ double LatencyHistogram::PercentileMicros(double q) const {
     if (seen + counts[i] >= rank) {
       auto [lo, hi] = BucketRange(i);
       double within = static_cast<double>(rank - seen) / counts[i];
-      return lo + (hi - lo) * within;
+      // A bucket's upper edge can lie above every sample in it; no
+      // percentile may exceed the exact maximum.
+      return std::min(lo + (hi - lo) * within,
+                      static_cast<double>(max_micros()));
     }
     seen += counts[i];
   }
-  return BucketRange(kNumBuckets - 1).second;
+  return static_cast<double>(max_micros());
 }
 
 std::vector<uint64_t> LatencyHistogram::BucketCounts() const {

@@ -73,8 +73,8 @@ class LatencyHistogram {
     return max_micros_.load(std::memory_order_relaxed);
   }
 
-  /// Approximate value at quantile `q` in (0, 1], e.g. 0.5 for p50. Returns
-  /// 0 when the histogram is empty.
+  /// Approximate value at quantile `q` in (0, 1], e.g. 0.5 for p50, never
+  /// above max_micros(). Returns 0 when the histogram is empty.
   double PercentileMicros(double q) const;
 
   void Reset();

@@ -637,9 +637,7 @@ Result<ViewDef> Parser::ParseViewStatement() {
 
 Result<Query> ParseQuery(std::string_view sql, const Catalog* catalog) {
   AQV_FAILPOINT("parse");
-  TraceSpan span("parse");
   AQV_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
-  if (span.active()) span.AddAttr("tokens", static_cast<int>(tokens.size()));
   Parser parser(std::move(tokens), catalog);
   return parser.ParseQueryBlock();
 }

@@ -43,6 +43,36 @@ std::string TrimStatement(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
+/// True when `upper` begins with the keyword (or keyword phrase) `word`
+/// followed by the end of the statement or whitespace: REFRESHV does not
+/// start with REFRESH. Every statement-dispatch prefix test goes through
+/// this.
+bool StartsWithWord(const std::string& upper, std::string_view word) {
+  return StartsWith(upper, word) &&
+         (upper.size() == word.size() ||
+          std::isspace(static_cast<unsigned char>(upper[word.size()])));
+}
+
+/// The statement text after its leading keyword phrase `word`, trimmed.
+std::string After(const std::string& stmt, std::string_view word) {
+  return TrimStatement(stmt.substr(word.size()));
+}
+
+/// Registers the `<prefix><label>_latency` histogram of each of `phases`.
+PhaseLatencies RegisterPhaseLatencies(
+    MetricsRegistry& metrics, const std::string& prefix, const char* kind,
+    std::initializer_list<QueryPhase> phases) {
+  PhaseLatencies out{};
+  for (QueryPhase phase : phases) {
+    const char* label = kPhaseNames[static_cast<size_t>(phase)].label;
+    std::string name = prefix + label + "_latency";
+    out[static_cast<size_t>(phase)] = &metrics.GetHistogram(name);
+    metrics.SetHelp(name, std::string(kind) + " " + label +
+                              " phase wall time per statement, microseconds");
+  }
+  return out;
+}
+
 }  // namespace
 
 std::string ServiceStats::ToString() const {
@@ -209,22 +239,20 @@ QueryService::QueryService(ServiceOptions options)
           metrics_.GetCounter("service.views_recomputed_total")),
       cache_size_gauge_(metrics_.GetGauge("service.plan_cache.size")),
       cache_capacity_gauge_(metrics_.GetGauge("service.plan_cache.capacity")),
-      optimize_latency_(metrics_.GetHistogram("service.optimize_latency")),
-      exec_latency_(metrics_.GetHistogram("service.exec_latency")),
-      maintain_latency_(metrics_.GetHistogram("service.maintain_latency")) {
+      read_latency_(RegisterPhaseLatencies(
+          metrics_, "service.", "Read",
+          {QueryPhase::kParse, QueryPhase::kLatch, QueryPhase::kRewrite,
+           QueryPhase::kExec})),
+      write_latency_(RegisterPhaseLatencies(
+          metrics_, "service.write_", "Write",
+          {QueryPhase::kParse, QueryPhase::kLatch, QueryPhase::kExec,
+           QueryPhase::kMaintain, QueryPhase::kWalCommit})) {
   options_.eval.vectorized = options_.vectorized;
   cache_capacity_gauge_.Set(static_cast<int64_t>(plan_cache_.capacity()));
   metrics_.SetHelp("service.statements", "Statements accepted (all kinds)");
   metrics_.SetHelp("service.queries_served", "SELECTs executed to completion");
   metrics_.SetHelp("service.errors_total",
                    "Failed statements by status-code token");
-  metrics_.SetHelp("service.exec_latency",
-                   "SELECT execution wall time, microseconds");
-  metrics_.SetHelp("service.optimize_latency",
-                   "Rewrite-search wall time per planned statement, "
-                   "microseconds");
-  metrics_.SetHelp("service.maintain_latency",
-                   "Write-path view maintenance wall time, microseconds");
   metrics_.SetHelp("service.rows_inserted_total",
                    "Rows added by INSERT/UPDATE/COMMIT batches");
   metrics_.SetHelp("service.rows_deleted_total",
@@ -507,16 +535,20 @@ namespace {
 /// operator must be able to inspect (and disarm failpoints on) a server
 /// that is rejecting data statements as busy.
 bool IsControlStatement(const std::string& upper) {
-  return upper == "STATS" || StartsWith(upper, "STATS ") ||
-         upper == "MONITOR" || StartsWith(upper, "MONITOR ") ||
+  return StartsWithWord(upper, "STATS") || StartsWithWord(upper, "MONITOR") ||
          upper == "SLOWLOG" || upper == "TABLES" || upper == "VIEWS" ||
          upper == "COMMIT" || upper == "ROLLBACK" || upper == "SCRUB" ||
-         StartsWith(upper, "TRACE") || StartsWith(upper, "FAILPOINT");
+         StartsWithWord(upper, "TRACE") || StartsWithWord(upper, "FAILPOINT");
 }
 
 }  // namespace
 
 Result<StatementResult> QueryService::Execute(const std::string& statement) {
+  return RunStatement(statement, nullptr);
+}
+
+Result<StatementResult> QueryService::RunStatement(
+    const std::string& statement, const ServiceSnapshot* snapshot) {
   if (options_.max_statement_bytes > 0 &&
       statement.size() > options_.max_statement_bytes) {
     Status overlong = Status::InvalidArgument(
@@ -538,17 +570,27 @@ Result<StatementResult> QueryService::Execute(const std::string& statement) {
       return slot;
     }
   }
+  QueryStats qs;
+  Clock::time_point start = Clock::now();
   Result<StatementResult> result = [&]() -> Result<StatementResult> {
-    // Root span of the statement lifecycle: parse/bind, latch acquisition,
-    // rewrite enumeration, costing, cache lookup and execution nest under it.
+    // Root span of the statement lifecycle: the phase spans (parse, latch,
+    // rewrite, execute, maintain, wal_commit) nest under it.
     TraceSpan span("statement");
     if (span.active()) {
       span.AddAttr("sql", stmt.size() <= 120 ? stmt : stmt.substr(0, 120));
     }
-    return Dispatch(stmt, upper);
+    if (snapshot != nullptr) {
+      return HandleRead(stmt, ReadMode::kRows, snapshot, &qs);
+    }
+    return Dispatch(stmt, upper, &qs);
   }();
+  qs.total_micros = ElapsedMicros(start);
   if (admitted) ReleaseStatement();
-  if (!result.ok()) RecordError(result.status());
+  if (!result.ok()) {
+    RecordError(result.status());
+  } else if (qs.epoch != 0) {
+    RecordAttribution(stmt, qs);
+  }
   return result;
 }
 
@@ -661,16 +703,7 @@ ServiceSnapshotPtr QueryService::PinSnapshot() {
 
 Result<Table> QueryService::Select(const std::string& sql,
                                    const ServiceSnapshot& snapshot) {
-  std::string stmt = TrimStatement(sql);
-  if (stmt.empty()) {
-    return Status::InvalidArgument("not a SELECT statement: " + sql);
-  }
-  statements_.Increment();
-  TraceSpan span("statement");
-  if (span.active()) {
-    span.AddAttr("sql", stmt.size() <= 120 ? stmt : stmt.substr(0, 120));
-  }
-  AQV_ASSIGN_OR_RETURN(StatementResult result, SelectOnSnapshot(stmt, snapshot));
+  AQV_ASSIGN_OR_RETURN(StatementResult result, RunStatement(sql, &snapshot));
   if (!result.table.has_value()) {
     return Status::InvalidArgument("not a SELECT statement: " + sql);
   }
@@ -725,15 +758,21 @@ ServiceStats QueryService::Stats() const {
       lookups == 0 ? 0.0
                    : static_cast<double>(s.plan_cache_hits) /
                          static_cast<double>(lookups);
-  s.optimize_p50_micros = optimize_latency_.PercentileMicros(0.5);
-  s.optimize_p99_micros = optimize_latency_.PercentileMicros(0.99);
-  s.optimize_max_micros = optimize_latency_.max_micros();
-  s.exec_p50_micros = exec_latency_.PercentileMicros(0.5);
-  s.exec_p99_micros = exec_latency_.PercentileMicros(0.99);
-  s.exec_max_micros = exec_latency_.max_micros();
-  s.maintain_p50_micros = maintain_latency_.PercentileMicros(0.5);
-  s.maintain_p99_micros = maintain_latency_.PercentileMicros(0.99);
-  s.maintain_max_micros = maintain_latency_.max_micros();
+  const LatencyHistogram& optimize =
+      *read_latency_[static_cast<size_t>(QueryPhase::kRewrite)];
+  const LatencyHistogram& exec =
+      *read_latency_[static_cast<size_t>(QueryPhase::kExec)];
+  const LatencyHistogram& maintain =
+      *write_latency_[static_cast<size_t>(QueryPhase::kMaintain)];
+  s.optimize_p50_micros = optimize.PercentileMicros(0.5);
+  s.optimize_p99_micros = optimize.PercentileMicros(0.99);
+  s.optimize_max_micros = optimize.max_micros();
+  s.exec_p50_micros = exec.PercentileMicros(0.5);
+  s.exec_p99_micros = exec.PercentileMicros(0.99);
+  s.exec_max_micros = exec.max_micros();
+  s.maintain_p50_micros = maintain.PercentileMicros(0.5);
+  s.maintain_p99_micros = maintain.PercentileMicros(0.99);
+  s.maintain_max_micros = maintain.max_micros();
   if (storage_ != nullptr) {
     s.storage_attached = true;
     s.storage_pages_read = storage_pages_read_->value();
@@ -806,38 +845,17 @@ std::vector<SlowQueryRecord> QueryService::SlowQueries() const {
   return std::vector<SlowQueryRecord>(slow_log_.begin(), slow_log_.end());
 }
 
-void QueryService::RecordSlowQuery(SlowQueryRecord record) {
-  slow_queries_.Increment();
-  std::lock_guard<std::mutex> lock(slow_log_mutex_);
-  slow_log_.push_back(std::move(record));
-  while (slow_log_.size() > options_.slow_query_log_capacity &&
-         !slow_log_.empty()) {
-    slow_log_.pop_front();
+void QueryService::RecordAttribution(const std::string& stmt,
+                                     const QueryStats& qs) {
+  if (options_.slow_query_micros > 0 &&
+      qs.total_micros >= options_.slow_query_micros) {
+    slow_queries_.Increment();
+    std::lock_guard<std::mutex> lock(slow_log_mutex_);
+    slow_log_.push_back(SlowQueryRecord{qs, stmt});
+    while (slow_log_.size() > options_.slow_query_log_capacity) {
+      slow_log_.pop_front();
+    }
   }
-}
-
-void QueryService::MaybeRecordSlowStatement(const std::string& stmt,
-                                            const QueryStats& qs) {
-  if (options_.slow_query_micros == 0 ||
-      qs.total_micros < options_.slow_query_micros) {
-    return;
-  }
-  SlowQueryRecord record;
-  record.statement = stmt;
-  record.fingerprint = qs.fingerprint;
-  record.epoch = qs.epoch;
-  record.parse_micros = qs.parse_micros;
-  record.optimize_micros = qs.optimize_micros;
-  record.exec_micros = qs.exec_micros;
-  record.maintain_micros = qs.maintain_micros;
-  record.wal_commit_micros = qs.wal_commit_micros;
-  record.total_micros = qs.total_micros;
-  record.cache_hit = qs.cache_hit;
-  RecordSlowQuery(std::move(record));
-}
-
-void QueryService::RecordStatementProfile(const std::string& stmt,
-                                          const QueryStats& qs) {
   if (options_.attribution_capacity == 0 || qs.fingerprint == 0) return;
   std::lock_guard<std::mutex> lock(profile_mutex_);
   auto it = profiles_.find(qs.fingerprint);
@@ -945,7 +963,7 @@ Result<StatementResult> QueryService::HandleRollback() {
   return out;
 }
 
-Result<StatementResult> QueryService::HandleCommit() {
+Result<StatementResult> QueryService::HandleCommit(QueryStats* qs) {
   // An open write batch takes precedence; BEGIN WRITE and BEGIN SNAPSHOT
   // are mutually exclusive per thread, so at most one of the two branches
   // has anything to commit.
@@ -961,16 +979,8 @@ Result<StatementResult> QueryService::HandleCommit() {
     }
   }
   if (batch.has_value()) {
-    Clock::time_point stmt_start = Clock::now();
-    QueryStats qs;
-    AQV_ASSIGN_OR_RETURN(WriteApplied applied, ApplyWriteDelta(*batch, &qs));
-    uint64_t apply_micros = ElapsedMicros(stmt_start);
-    uint64_t attributed = qs.maintain_micros + qs.wal_commit_micros;
-    qs.exec_micros = apply_micros > attributed ? apply_micros - attributed : 0;
-    qs.rows_processed += applied.rows;
-    qs.epoch = db_.epoch();
-    qs.total_micros = apply_micros;
-    MaybeRecordSlowStatement("COMMIT", qs);
+    AQV_ASSIGN_OR_RETURN(WriteApplied applied,
+                         ApplyWrite(*std::move(batch), nullptr, qs));
     StatementResult out;
     out.message = std::to_string(applied.rows_inserted) +
                   " row(s) inserted / " +
@@ -996,20 +1006,21 @@ Result<StatementResult> QueryService::HandleCommit() {
 }
 
 Result<StatementResult> QueryService::Dispatch(const std::string& stmt,
-                                               const std::string& upper) {
+                                               const std::string& upper,
+                                               QueryStats* qs) {
   if (upper == "STATS PROM") {
     StatementResult out;
     out.message = StatsPromText();
     return out;
   }
-  if (StartsWith(upper, "STATS HISTORY")) {
-    return HandleStatsHistory(TrimStatement(stmt.substr(13)));
+  if (StartsWithWord(upper, "STATS HISTORY")) {
+    return HandleStatsHistory(After(stmt, "STATS HISTORY"));
   }
-  if (StartsWith(upper, "STATS ATTRIBUTION")) {
-    return HandleAttribution(TrimStatement(stmt.substr(17)));
+  if (StartsWithWord(upper, "STATS ATTRIBUTION")) {
+    return HandleAttribution(After(stmt, "STATS ATTRIBUTION"));
   }
-  if (StartsWith(upper, "MONITOR")) {
-    return HandleMonitor(TrimStatement(stmt.substr(7)));
+  if (StartsWithWord(upper, "MONITOR")) {
+    return HandleMonitor(After(stmt, "MONITOR"));
   }
   if (upper == "STATS") {
     StatementResult out;
@@ -1017,13 +1028,13 @@ Result<StatementResult> QueryService::Dispatch(const std::string& stmt,
     return out;
   }
   if (upper == "SLOWLOG") return HandleSlowLog();
-  if (StartsWith(upper, "TRACE")) return HandleTrace(stmt);
-  if (StartsWith(upper, "FAILPOINT")) return HandleFailpoint(stmt);
+  if (StartsWithWord(upper, "TRACE")) return HandleTrace(stmt);
+  if (StartsWithWord(upper, "FAILPOINT")) return HandleFailpoint(stmt);
   if (upper == "BEGIN WRITE") return HandleBeginWrite();
   if (upper == "BEGIN SNAPSHOT" || upper == "BEGIN") {
     return HandleBeginSnapshot();
   }
-  if (upper == "COMMIT") return HandleCommit();
+  if (upper == "COMMIT") return HandleCommit(qs);
   if (upper == "ROLLBACK") return HandleRollback();
   if (upper == "TABLES") return HandleListTables();
   if (upper == "VIEWS") return HandleListViews();
@@ -1031,10 +1042,12 @@ Result<StatementResult> QueryService::Dispatch(const std::string& stmt,
   if (upper == "SCRUB") return HandleScrub();
   // Writes and DDL are rejected while the calling thread has an open
   // snapshot: the pin is read-only by construction.
-  bool is_dml = StartsWith(upper, "INSERT INTO") ||
-                StartsWith(upper, "DELETE") || StartsWith(upper, "UPDATE ");
-  bool is_write = StartsWith(upper, "CREATE ") || is_dml ||
-                  StartsWith(upper, "REFRESH") || StartsWith(upper, "LOAD");
+  bool is_dml = StartsWithWord(upper, "INSERT INTO") ||
+                StartsWithWord(upper, "DELETE") ||
+                StartsWithWord(upper, "UPDATE");
+  bool is_write = StartsWithWord(upper, "CREATE") || is_dml ||
+                  StartsWithWord(upper, "REFRESH") ||
+                  StartsWithWord(upper, "LOAD");
   if (is_write && ThreadSnapshot() != nullptr) {
     return Status::InvalidArgument(
         "writes are not allowed inside BEGIN SNAPSHOT; COMMIT first");
@@ -1047,31 +1060,33 @@ Result<StatementResult> QueryService::Dispatch(const std::string& stmt,
         "only INSERT/DELETE/UPDATE may run inside BEGIN WRITE; COMMIT or "
         "ROLLBACK first");
   }
-  if (StartsWith(upper, "CREATE TABLE")) return HandleCreateTable(stmt);
-  if (StartsWith(upper, "CREATE MATERIALIZED VIEW")) {
-    return HandleCreateView(
-        "CREATE " + stmt.substr(std::string("CREATE MATERIALIZED ").size()),
-        /*materialized=*/true);
+  if (StartsWithWord(upper, "CREATE TABLE")) return HandleCreateTable(stmt);
+  if (StartsWithWord(upper, "CREATE MATERIALIZED VIEW")) {
+    return HandleCreateView("CREATE " + After(stmt, "CREATE MATERIALIZED"),
+                            /*materialized=*/true);
   }
-  if (StartsWith(upper, "CREATE VIEW")) {
+  if (StartsWithWord(upper, "CREATE VIEW")) {
     return HandleCreateView(stmt, /*materialized=*/false);
   }
-  if (StartsWith(upper, "INSERT INTO")) return HandleInsert(stmt);
-  if (StartsWith(upper, "DELETE")) return HandleDelete(stmt);
-  if (StartsWith(upper, "UPDATE ")) return HandleUpdate(stmt);
-  if (StartsWith(upper, "REFRESH")) {
-    return HandleRefresh(TrimStatement(stmt.substr(7)));
+  if (StartsWithWord(upper, "INSERT INTO")) return HandleInsert(stmt, qs);
+  if (StartsWithWord(upper, "DELETE")) return HandleDelete(stmt, qs);
+  if (StartsWithWord(upper, "UPDATE")) return HandleUpdate(stmt, qs);
+  if (StartsWithWord(upper, "REFRESH")) {
+    return HandleRefresh(After(stmt, "REFRESH"));
   }
-  if (StartsWith(upper, "EXPLAIN ANALYZE")) {
-    return HandleExplainAnalyze(TrimStatement(stmt.substr(15)));
+  if (StartsWithWord(upper, "EXPLAIN ANALYZE")) {
+    return HandleRead(After(stmt, "EXPLAIN ANALYZE"), ReadMode::kAnalyze,
+                      nullptr, qs);
   }
-  if (StartsWith(upper, "EXPLAIN")) {
-    return HandleExplain(TrimStatement(stmt.substr(7)));
+  if (StartsWithWord(upper, "EXPLAIN")) {
+    return HandleRead(After(stmt, "EXPLAIN"), ReadMode::kExplain, nullptr, qs);
   }
-  if (StartsWith(upper, "WHY")) return HandleWhy(TrimStatement(stmt.substr(3)));
-  if (StartsWith(upper, "SELECT")) return HandleSelect(stmt);
-  if (StartsWith(upper, "LOAD")) return HandleLoad(stmt);
-  if (StartsWith(upper, "SAVE")) return HandleSave(stmt);
+  if (StartsWithWord(upper, "WHY")) return HandleWhy(After(stmt, "WHY"));
+  if (StartsWithWord(upper, "SELECT")) {
+    return HandleRead(stmt, ReadMode::kRows, nullptr, qs);
+  }
+  if (StartsWithWord(upper, "LOAD")) return HandleLoad(stmt);
+  if (StartsWithWord(upper, "SAVE")) return HandleSave(stmt);
   return Status::InvalidArgument("unrecognized statement: " + stmt);
 }
 
@@ -1107,51 +1122,65 @@ std::vector<std::string> QueryService::SelectFootprint(
   return deps;
 }
 
-Result<PlanCache::EntryPtr> QueryService::PlanThroughCache(
-    const Query& query, bool* cache_hit, uint64_t* optimize_micros,
-    ExecContext* ctx, bool* degraded) {
-  *cache_hit = false;
-  if (optimize_micros != nullptr) *optimize_micros = 0;
+namespace {
+
+/// A tripped deadline or row budget: the governance verdict on the
+/// statement, never a plan defect, so it is surfaced as-is, not degraded.
+bool IsGovernanceVerdict(const Status& s) {
+  return s.code() == StatusCode::kDeadlineExceeded ||
+         s.code() == StatusCode::kResourceExhausted;
+}
+
+/// The EXPLAIN header: the query as bound, the chosen plan and its cost.
+std::string PlanHeader(const Query& query, const PlanCache::Entry& plan,
+                       bool cache_hit) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "cost:      %.0f -> %.0f (%d rewriting(s) considered%s)\n",
+                plan.cost_original, plan.cost_chosen,
+                plan.rewritings_considered,
+                cache_hit ? ", plan cache hit" : "");
+  return "original:  " + ToSql(query) + "\nchosen:    " + ToSql(plan.plan) +
+         "\n" + buf;
+}
+
+}  // namespace
+
+Result<PlanCache::EntryPtr> QueryService::PlanQuery(
+    const Query& query, const ServiceSnapshot* snapshot, ExecContext* ctx,
+    StatementResult* out) {
+  const bool cached = snapshot == nullptr && options_.enable_plan_cache;
   std::string key;
-  if (options_.enable_plan_cache) {
+  if (cached) {
     TraceSpan lookup("plan_cache.lookup");
     key = CanonicalCacheKey(query);
-    PlanCache::EntryPtr cached = plan_cache_.Lookup(key);
-    if (lookup.active()) lookup.AddAttr("hit", cached ? "1" : "0");
-    if (cached) {
-      *cache_hit = true;
+    PlanCache::EntryPtr hit = plan_cache_.Lookup(key);
+    if (lookup.active()) lookup.AddAttr("hit", hit ? "1" : "0");
+    if (hit) {
+      out->cache_hit = true;
       cache_hits_.Increment();
-      return cached;
+      return hit;
     }
   }
-  Clock::time_point start = Clock::now();
   RewriteOptions rewrite = options_.rewrite;
   rewrite.quarantined_views = QuarantinedViews();
-  Optimizer optimizer(&db_, &views_, &catalog_, rewrite);
+  Optimizer optimizer(snapshot ? &snapshot->db : &db_,
+                      snapshot ? &snapshot->views : &views_,
+                      snapshot ? &snapshot->catalog : &catalog_, rewrite);
   Result<OptimizeResult> optimized = optimizer.Optimize(query, ctx);
-  uint64_t elapsed = ElapsedMicros(start);
-  if (optimize_micros != nullptr) *optimize_micros = elapsed;
-  optimize_latency_.Record(elapsed);
-  cache_misses_.Increment();
+  if (snapshot == nullptr) cache_misses_.Increment();
 
   auto entry = std::make_shared<PlanCache::Entry>();
   if (!optimized.ok()) {
     const Status& s = optimized.status();
-    bool resource = s.code() == StatusCode::kDeadlineExceeded ||
-                    s.code() == StatusCode::kResourceExhausted;
-    if (resource || !options_.degrade_on_failure) return s;
+    if (IsGovernanceVerdict(s) || !options_.degrade_on_failure) return s;
     // Degrade: the optimizer itself failed (e.g. an injected
     // "optimizer.optimize" fault), so serve the unrewritten query. The
     // entry is NOT inserted into the cache — the next statement gets a
     // fresh optimization attempt rather than a pinned degraded plan.
     degraded_fallbacks_.Increment();
-    if (degraded != nullptr) *degraded = true;
+    out->degraded = true;
     entry->plan = query;
-    CollectQueryDependencies(query, views_, &entry->dependencies);
-    std::sort(entry->dependencies.begin(), entry->dependencies.end());
-    entry->dependencies.erase(
-        std::unique(entry->dependencies.begin(), entry->dependencies.end()),
-        entry->dependencies.end());
     return PlanCache::EntryPtr(std::move(entry));
   }
   OptimizeResult plan = *std::move(optimized);
@@ -1167,324 +1196,167 @@ Result<PlanCache::EntryPtr> QueryService::PlanThroughCache(
   // comment): the entry's dependencies are a subset of the footprint, so a
   // writer's invalidation — which needs the written stripe exclusive —
   // cannot interleave between optimize and insert.
-  if (options_.enable_plan_cache) plan_cache_.Insert(key, entry);
+  if (cached) plan_cache_.Insert(key, entry);
   return PlanCache::EntryPtr(std::move(entry));
 }
 
-Result<StatementResult> QueryService::SelectOnSnapshot(
-    const std::string& stmt, const ServiceSnapshot& snap) {
-  Clock::time_point stmt_start = Clock::now();
-  ExecContext ctx;
-  QueryStats qs;
-  ctx.set_stats(&qs);
-  if (options_.statement_deadline_micros > 0) {
-    ctx.set_deadline_after_micros(options_.statement_deadline_micros);
+Result<StatementResult> QueryService::HandleRead(
+    const std::string& sql, ReadMode mode, const ServiceSnapshot* snapshot,
+    QueryStats* qs) {
+  ServiceSnapshotPtr pinned;
+  if (snapshot == nullptr && (pinned = ThreadSnapshot()) != nullptr) {
+    snapshot = pinned.get();
   }
-  if (options_.statement_row_budget > 0) {
-    ctx.set_row_budget(options_.statement_row_budget);
-  }
-  TraceSpan span("snapshot_read");
-  if (span.active()) span.AddAttr("epoch", snap.epoch);
-  AQV_ASSIGN_OR_RETURN(Query query, ParseQuery(stmt, &snap.catalog));
-  qs.parse_micros = ElapsedMicros(stmt_start);
-  {
-    // The current quarantine gates snapshot reads too: a pinned copy of a
-    // salvaged-empty table is exactly the silent-wrong-rows hazard.
-    std::vector<std::string> deps;
-    CollectQueryDependencies(query, snap.views, &deps);
-    AQV_RETURN_NOT_OK(CheckTableQuarantine(deps));
-  }
-  StatementResult out;
-  // Always a fresh optimize: the plan cache tracks current state (and its
-  // invalidation hooks fire on current-state writes), not the pinned epoch.
-  Clock::time_point opt_start = Clock::now();
-  Optimizer optimizer(&snap.db, &snap.views, &snap.catalog, options_.rewrite);
-  Result<OptimizeResult> optimized = optimizer.Optimize(query, &ctx);
-  OptimizeResult plan;
-  if (optimized.ok()) {
-    plan = *std::move(optimized);
-  } else {
-    const Status& s = optimized.status();
-    bool resource = s.code() == StatusCode::kDeadlineExceeded ||
-                    s.code() == StatusCode::kResourceExhausted;
-    if (resource || !options_.degrade_on_failure) return s;
-    // Degrade: serve the unrewritten query against the snapshot.
-    degraded_fallbacks_.Increment();
-    out.degraded = true;
-    plan.chosen = query;
-  }
-  uint64_t optimize_micros = ElapsedMicros(opt_start);
-  optimize_latency_.Record(optimize_micros);
-  out.used_materialized_view = plan.used_materialized_view;
-  if (plan.used_materialized_view) {
-    out.message = "-- rewritten to use a materialized view:\n--   " +
-                  ToSql(plan.chosen) + "\n";
-    rewrites_applied_.Increment();
-  } else {
-    rewrites_skipped_.Increment();
-  }
+  const bool live = snapshot == nullptr;
+  const Catalog& catalog = live ? catalog_ : snapshot->catalog;
+  const ViewRegistry& views = live ? views_ : snapshot->views;
+  const Database& db = live ? db_ : snapshot->db;
   Clock::time_point start = Clock::now();
-  uint64_t exec_micros = 0;
-  {
-    TraceSpan exec_span("execute");
-    Evaluator eval(&snap.db, &snap.views, options_.eval);
-    eval.set_context(&ctx);
-    Result<Table> result = eval.Execute(plan.chosen);
-    if (!result.ok()) {
-      const Status& s = result.status();
-      bool resource = s.code() == StatusCode::kDeadlineExceeded ||
-                      s.code() == StatusCode::kResourceExhausted;
-      if (resource || !options_.degrade_on_failure ||
-          !plan.used_materialized_view) {
-        return s;
-      }
-      degraded_fallbacks_.Increment();
-      ctx.ResetForRetry();
-      Evaluator retry(&snap.db, &snap.views, options_.eval);
-      retry.set_context(&ctx);
-      result = retry.Execute(query);
-      AQV_RETURN_NOT_OK(result.status());
-      out.degraded = true;
-      out.used_materialized_view = false;
-      out.message += "-- degraded: plan failed (" + s.ToString() +
-                     "); retried on the unrewritten query\n";
-    }
-    exec_micros = ElapsedMicros(start);
-    if (exec_span.active()) exec_span.AddAttr("rows", result->num_rows());
-    out.table = *std::move(result);
-  }
-  exec_latency_.Record(exec_micros);
-  queries_served_.Increment();
-  snapshot_reads_.Increment();
-  qs.optimize_micros = optimize_micros;
-  qs.exec_micros = exec_micros;
-  qs.total_micros = ElapsedMicros(stmt_start);
-  qs.fingerprint = QueryFingerprint(query);
-  qs.epoch = snap.epoch;
-  qs.degraded = out.degraded;
-  MaybeRecordSlowStatement(stmt, qs);
-  RecordStatementProfile(stmt, qs);
-  return out;
-}
-
-Result<StatementResult> QueryService::HandleSelect(const std::string& stmt) {
-  if (ServiceSnapshotPtr snap = ThreadSnapshot()) {
-    return SelectOnSnapshot(stmt, *snap);
-  }
-  Clock::time_point stmt_start = Clock::now();
   // The statement's governance context: the deadline covers parse through
   // execution (including a degraded retry); the row budget is per
   // execution attempt. The attribution object rides on the context so the
   // evaluator (rows) and any stage that only sees the context can
   // contribute.
   ExecContext ctx;
-  QueryStats qs;
-  ctx.set_stats(&qs);
+  ctx.set_stats(qs);
   if (options_.statement_deadline_micros > 0) {
     ctx.set_deadline_after_micros(options_.statement_deadline_micros);
   }
   if (options_.statement_row_budget > 0) {
     ctx.set_row_budget(options_.statement_row_budget);
   }
-  LatchManager::Guard guard = latches_.StatementShared();
-  AQV_ASSIGN_OR_RETURN(Query query, ParseQuery(stmt, &catalog_));
-  qs.parse_micros = ElapsedMicros(stmt_start);
+
+  LatchManager::Guard guard;
+  Query query;
   {
+    Phase parse(QueryPhase::kParse, qs, read_latency_);
+    // Live reads bind under the shared ddl latch, which freezes the catalog
+    // and view registry for the rest of the statement.
+    if (live) guard = latches_.StatementShared();
+    AQV_ASSIGN_OR_RETURN(query, ParseQuery(sql, &catalog));
+    qs->fingerprint = QueryFingerprint(query);
     // Corruption quarantine: a query whose closure touches a quarantined
-    // table gets a clean error instead of salvaged-empty rows.
+    // table gets a clean error instead of salvaged-empty rows — pinned
+    // copies of such a table included.
     std::vector<std::string> deps;
-    CollectQueryDependencies(query, views_, &deps);
+    CollectQueryDependencies(query, views, &deps);
     AQV_RETURN_NOT_OK(CheckTableQuarantine(deps));
   }
-  {
-    TraceSpan latch_span("latch");
-    Clock::time_point latch_start = Clock::now();
+  if (live) {
+    Phase latch(QueryPhase::kLatch, qs, read_latency_);
     latches_.AcquireShared(&guard, SelectFootprint(query));
-    qs.latch_micros = ElapsedMicros(latch_start);
-    if (latch_span.active()) {
-      latch_span.AddAttr("stripes", static_cast<uint64_t>(guard.stripes_held()));
-      latch_span.AddAttr("epoch", db_.epoch());
+    if (latch.span().active()) {
+      latch.span().AddAttr("stripes",
+                           static_cast<uint64_t>(guard.stripes_held()));
+      latch.span().AddAttr("epoch", db_.epoch());
     }
   }
+  qs->epoch = live ? db_.epoch() : snapshot->epoch;
+
   StatementResult out;
-  uint64_t optimize_micros = 0;
-  Clock::time_point plan_start = Clock::now();
-  AQV_ASSIGN_OR_RETURN(
-      PlanCache::EntryPtr entry,
-      PlanThroughCache(query, &out.cache_hit, &optimize_micros, &ctx,
-                       &out.degraded));
-  // Attributed optimize time includes the cache probe, so a hit is cheap
-  // but not free in the breakdown (optimize_micros alone is 0 on a hit).
-  qs.optimize_micros = ElapsedMicros(plan_start);
-  out.used_materialized_view = entry->used_materialized_view;
-  if (entry->used_materialized_view) {
-    out.message = "-- rewritten to use a materialized view:\n--   " +
-                  ToSql(entry->plan) + "\n";
+  PlanCache::EntryPtr plan;
+  {
+    Phase rewrite(QueryPhase::kRewrite, qs, read_latency_);
+    AQV_ASSIGN_OR_RETURN(plan, PlanQuery(query, snapshot, &ctx, &out));
+  }
+  qs->cache_hit = out.cache_hit;
+  out.used_materialized_view = plan->used_materialized_view;
+  if (mode == ReadMode::kExplain) {
+    AQV_ASSIGN_OR_RETURN(std::string tree, ExplainPlan(plan->plan, db, &views));
+    out.message = PlanHeader(query, *plan, out.cache_hit) + tree;
+    return out;
+  }
+  if (plan->used_materialized_view) {
     rewrites_applied_.Increment();
+    if (mode == ReadMode::kRows) {
+      out.message = "-- rewritten to use a materialized view:\n--   " +
+                    ToSql(plan->plan) + "\n";
+    }
   } else {
     rewrites_skipped_.Increment();
   }
-  Clock::time_point start = Clock::now();
-  uint64_t exec_micros = 0;
-  {
-    TraceSpan exec_span("execute");
-    Evaluator eval(&db_, &views_, options_.eval);
-    eval.set_context(&ctx);
-    Result<Table> result = eval.Execute(entry->plan);
-    if (!result.ok()) {
-      const Status& s = result.status();
-      bool resource = s.code() == StatusCode::kDeadlineExceeded ||
-                      s.code() == StatusCode::kResourceExhausted;
-      // A tripped deadline/budget is the governance verdict, not a plan
-      // defect — surface it as-is (the RAII latch guard releases
-      // everything). A real failure of a rewritten or cached plan degrades:
-      // drop the cached entry, charge its views toward quarantine and retry
-      // once on the unrewritten query under the same deadline.
-      bool plan_differs = entry->used_materialized_view || out.cache_hit;
-      if (resource || !options_.degrade_on_failure || !plan_differs) {
-        return s;
-      }
-      if (options_.enable_plan_cache) {
-        cache_invalidated_.Increment(
-            plan_cache_.Erase(CanonicalCacheKey(query)));
-      }
-      for (const TableRef& ref : entry->plan.from) {
-        if (views_.Has(ref.table)) ChargeViewFailure(ref.table);
-      }
-      degraded_fallbacks_.Increment();
-      ctx.ResetForRetry();
-      Evaluator retry(&db_, &views_, options_.eval);
-      retry.set_context(&ctx);
-      result = retry.Execute(query);
-      AQV_RETURN_NOT_OK(result.status());
-      out.degraded = true;
-      out.used_materialized_view = false;
-      out.message += "-- degraded: plan failed (" + s.ToString() +
-                     "); retried on the unrewritten query\n";
-    }
-    exec_micros = ElapsedMicros(start);
-    if (exec_span.active()) exec_span.AddAttr("rows", result->num_rows());
-    out.table = *std::move(result);
-  }
-  exec_latency_.Record(exec_micros);
-  queries_served_.Increment();
-  qs.exec_micros = exec_micros;
-  qs.total_micros = ElapsedMicros(stmt_start);
-  qs.fingerprint = QueryFingerprint(query);
-  qs.epoch = db_.epoch();
-  qs.cache_hit = out.cache_hit;
-  qs.degraded = out.degraded;
-  MaybeRecordSlowStatement(stmt, qs);
-  RecordStatementProfile(stmt, qs);
-  return out;
-}
 
-Result<StatementResult> QueryService::HandleExplain(
-    const std::string& select_stmt) {
-  LatchManager::Guard guard = latches_.StatementShared();
-  AQV_ASSIGN_OR_RETURN(Query query, ParseQuery(select_stmt, &catalog_));
-  latches_.AcquireShared(&guard, SelectFootprint(query));
-  StatementResult out;
-  AQV_ASSIGN_OR_RETURN(PlanCache::EntryPtr entry,
-                       PlanThroughCache(query, &out.cache_hit));
-  out.used_materialized_view = entry->used_materialized_view;
-  char buf[256];
-  out.message = "original:  " + ToSql(query) + "\n";
-  out.message += "chosen:    " + ToSql(entry->plan) + "\n";
-  std::snprintf(buf, sizeof(buf),
-                "cost:      %.0f -> %.0f (%d rewriting(s) considered%s)\n",
-                entry->cost_original, entry->cost_chosen,
-                entry->rewritings_considered,
-                out.cache_hit ? ", plan cache hit" : "");
-  out.message += buf;
-  AQV_ASSIGN_OR_RETURN(std::string tree,
-                       ExplainPlan(entry->plan, db_, &views_));
-  out.message += tree;
-  return out;
-}
-
-Result<StatementResult> QueryService::HandleExplainAnalyze(
-    const std::string& select_stmt) {
-  Clock::time_point stmt_start = Clock::now();
-  ExecContext ctx;
-  QueryStats qs;
-  ctx.set_stats(&qs);
-  LatchManager::Guard guard = latches_.StatementShared();
-  AQV_ASSIGN_OR_RETURN(Query query, ParseQuery(select_stmt, &catalog_));
-  qs.parse_micros = ElapsedMicros(stmt_start);
-  {
-    std::vector<std::string> deps;
-    CollectQueryDependencies(query, views_, &deps);
-    AQV_RETURN_NOT_OK(CheckTableQuarantine(deps));
-  }
-  Clock::time_point latch_start = Clock::now();
-  latches_.AcquireShared(&guard, SelectFootprint(query));
-  qs.latch_micros = ElapsedMicros(latch_start);
-  StatementResult out;
-  Clock::time_point plan_start = Clock::now();
-  AQV_ASSIGN_OR_RETURN(PlanCache::EntryPtr entry,
-                       PlanThroughCache(query, &out.cache_hit));
-  qs.optimize_micros = ElapsedMicros(plan_start);
-  out.used_materialized_view = entry->used_materialized_view;
-  char buf[512];
-  out.message = "original:  " + ToSql(query) + "\n";
-  out.message += "chosen:    " + ToSql(entry->plan) + "\n";
-  std::snprintf(buf, sizeof(buf),
-                "cost:      %.0f -> %.0f (%d rewriting(s) considered%s)\n",
-                entry->cost_original, entry->cost_chosen,
-                entry->rewritings_considered,
-                out.cache_hit ? ", plan cache hit" : "");
-  out.message += buf;
-  // Execute the chosen plan with the per-operator profile attached; the
+  // EXPLAIN ANALYZE executes with the per-operator profile attached; the
   // rendered tree shows actual rows and wall time next to the stored
   // cardinalities the cost model estimated from.
   PlanProfile profile;
-  Clock::time_point start = Clock::now();
-  Evaluator eval(&db_, &views_, options_.eval);
-  eval.set_profile(&profile);
-  eval.set_context(&ctx);
-  AQV_ASSIGN_OR_RETURN(Table result, eval.Execute(entry->plan));
-  qs.exec_micros = ElapsedMicros(start);
-  exec_latency_.Record(qs.exec_micros);
+  std::string analyzed;
+  {
+    Phase exec(QueryPhase::kExec, qs, read_latency_);
+    auto run = [&](const Query& q) {
+      Evaluator eval(&db, &views, options_.eval);
+      eval.set_context(&ctx);
+      if (mode == ReadMode::kAnalyze) eval.set_profile(&profile);
+      return eval.Execute(q);
+    };
+    Result<Table> rows = run(plan->plan);
+    // A real failure of a rewritten or cached plan degrades: drop the
+    // cached entry, charge its views toward quarantine and retry once on
+    // the unrewritten query under the same deadline. A governance verdict
+    // is surfaced as-is (the RAII latch guard releases everything).
+    if (!rows.ok() && !IsGovernanceVerdict(rows.status()) &&
+        options_.degrade_on_failure &&
+        (plan->used_materialized_view || out.cache_hit)) {
+      Status failed = rows.status();
+      if (live && options_.enable_plan_cache) {
+        cache_invalidated_.Increment(
+            plan_cache_.Erase(CanonicalCacheKey(query)));
+      }
+      for (const TableRef& ref : plan->plan.from) {
+        if (views.Has(ref.table)) ChargeViewFailure(ref.table);
+      }
+      degraded_fallbacks_.Increment();
+      ctx.ResetForRetry();
+      profile = PlanProfile{};
+      rows = run(query);
+      out.degraded = true;
+      out.used_materialized_view = false;
+      out.message += "-- degraded: plan failed (" + failed.ToString() +
+                     "); retried on the unrewritten query\n";
+    }
+    AQV_RETURN_NOT_OK(rows.status());
+    if (exec.span().active()) exec.span().AddAttr("rows", rows->num_rows());
+    if (mode == ReadMode::kRows) {
+      out.table = *std::move(rows);
+    } else {
+      // The rendered plan is EXPLAIN ANALYZE's result, so producing it is
+      // exec time, as building the rows is for a SELECT.
+      analyzed = PlanHeader(query, *plan, out.cache_hit) + out.message +
+                 RenderAnalyzedPlan(profile) + "result: " +
+                 std::to_string(rows->num_rows()) + " row(s)\n";
+    }
+  }
   queries_served_.Increment();
-  qs.fingerprint = QueryFingerprint(query);
-  qs.epoch = db_.epoch();
-  qs.cache_hit = out.cache_hit;
-  out.message += RenderAnalyzedPlan(profile);
-  out.message +=
-      "result: " + std::to_string(result.num_rows()) + " row(s)\n";
+  if (!live) snapshot_reads_.Increment();
+  qs->degraded = out.degraded;
+  if (mode == ReadMode::kRows) return out;
+
   // Per-statement attribution: disjoint phase times against the measured
   // wall clock (their sum accounts for all but dispatch overhead — E19
   // checks the gap stays within 10%), plus the I/O the statement caused.
-  qs.total_micros = ElapsedMicros(stmt_start);
-  uint64_t phases = qs.PhaseSumMicros();
+  uint64_t wall = ElapsedMicros(start);
+  uint64_t phases = qs->PhaseSumMicros();
+  char buf[320];
+  std::snprintf(buf, sizeof(buf),
+                "attribution: wall=%lluus phases=%lluus (%.1f%%) ",
+                static_cast<unsigned long long>(wall),
+                static_cast<unsigned long long>(phases),
+                wall == 0 ? 0.0
+                          : 100.0 * static_cast<double>(phases) /
+                                static_cast<double>(wall));
+  analyzed += buf + qs->PhaseText() + "\n";
   std::snprintf(
       buf, sizeof(buf),
-      "attribution: wall=%lluus phases=%lluus (%.1f%%) parse=%lluus "
-      "latch=%lluus rewrite=%lluus exec=%lluus maintain=%lluus "
-      "wal_commit=%lluus\n"
       "counters:    rows=%llu epoch=%llu cache_hit=%d pool_hits=%llu "
       "pool_misses=%llu pages_read=%llu pages_written=%llu wal_bytes=%llu\n",
-      static_cast<unsigned long long>(qs.total_micros),
-      static_cast<unsigned long long>(phases),
-      qs.total_micros == 0 ? 0.0
-                           : 100.0 * static_cast<double>(phases) /
-                                 static_cast<double>(qs.total_micros),
-      static_cast<unsigned long long>(qs.parse_micros),
-      static_cast<unsigned long long>(qs.latch_micros),
-      static_cast<unsigned long long>(qs.optimize_micros),
-      static_cast<unsigned long long>(qs.exec_micros),
-      static_cast<unsigned long long>(qs.maintain_micros),
-      static_cast<unsigned long long>(qs.wal_commit_micros),
-      static_cast<unsigned long long>(qs.rows_processed),
-      static_cast<unsigned long long>(qs.epoch), qs.cache_hit ? 1 : 0,
-      static_cast<unsigned long long>(qs.buffer_pool_hits),
-      static_cast<unsigned long long>(qs.buffer_pool_misses),
-      static_cast<unsigned long long>(qs.pages_read),
-      static_cast<unsigned long long>(qs.pages_written),
-      static_cast<unsigned long long>(qs.wal_bytes));
-  out.message += buf;
-  RecordStatementProfile(select_stmt, qs);
+      static_cast<unsigned long long>(qs->rows_processed),
+      static_cast<unsigned long long>(qs->epoch), qs->cache_hit ? 1 : 0,
+      static_cast<unsigned long long>(qs->buffer_pool_hits),
+      static_cast<unsigned long long>(qs->buffer_pool_misses),
+      static_cast<unsigned long long>(qs->pages_read),
+      static_cast<unsigned long long>(qs->pages_written),
+      static_cast<unsigned long long>(qs->wal_bytes));
+  out.message = analyzed + buf;
   return out;
 }
 
@@ -1574,39 +1446,30 @@ Result<StatementResult> QueryService::HandleSlowLog() const {
     out.message = "slow query log is empty\n";
     return out;
   }
-  char buf[240];
+  char buf[96];
   for (const SlowQueryRecord& r : records) {
-    std::snprintf(buf, sizeof(buf),
-                  "fp=%016llx epoch=%llu total=%lluus parse=%lluus "
-                  "optimize=%lluus exec=%lluus maintain=%lluus "
-                  "wal_commit=%lluus [cache %s]  ",
+    std::snprintf(buf, sizeof(buf), "fp=%016llx epoch=%llu total=%lluus ",
                   static_cast<unsigned long long>(r.fingerprint),
                   static_cast<unsigned long long>(r.epoch),
-                  static_cast<unsigned long long>(r.total_micros),
-                  static_cast<unsigned long long>(r.parse_micros),
-                  static_cast<unsigned long long>(r.optimize_micros),
-                  static_cast<unsigned long long>(r.exec_micros),
-                  static_cast<unsigned long long>(r.maintain_micros),
-                  static_cast<unsigned long long>(r.wal_commit_micros),
-                  r.cache_hit ? "hit" : "miss");
-    out.message += buf;
-    out.message += r.statement + "\n";
+                  static_cast<unsigned long long>(r.total_micros));
+    out.message += buf + r.PhaseText() + " [cache " +
+                   (r.cache_hit ? "hit" : "miss") + "]  " + r.statement + "\n";
   }
   return out;
 }
 
 namespace {
 
-/// Optional trailing count in a statement tail ("", "5", "JSON 5").
-/// Returns `fallback` when absent or unparsable.
-size_t ParseCountArg(const std::string& rest, size_t fallback) {
+/// The optional count that ends STATS HISTORY, STATS ATTRIBUTION and
+/// MONITOR: `fallback` when `rest` is empty, else `rest` must be a decimal
+/// count — any other tail is refused rather than ignored.
+Result<size_t> ParseCountArg(const std::string& rest, size_t fallback) {
   if (rest.empty()) return fallback;
-  size_t pos = rest.find_last_of(" \t");
-  std::string tail = pos == std::string::npos ? rest : rest.substr(pos + 1);
-  char* end = nullptr;
-  unsigned long long n = std::strtoull(tail.c_str(), &end, 10);
-  if (end == tail.c_str() || *end != '\0') return fallback;
-  return static_cast<size_t>(n);
+  if (rest.size() > 18 || rest.find_first_not_of("0123456789") !=
+                              std::string::npos) {
+    return Status::InvalidArgument("expected a count, got '" + rest + "'");
+  }
+  return static_cast<size_t>(std::stoull(rest));
 }
 
 /// One line per telemetry window: the rates and latency means an operator
@@ -1624,7 +1487,7 @@ std::string RenderWindowLine(const TelemetryWindow& w) {
                              static_cast<double>(hits + misses);
   const TelemetryWindow::Hist* exec = w.Histogram("service.exec_latency");
   const TelemetryWindow::Hist* maintain =
-      w.Histogram("service.maintain_latency");
+      w.Histogram("service.write_maintain_latency");
   auto mean = [](const TelemetryWindow::Hist* h) {
     return h == nullptr || h->delta_count == 0
                ? 0.0
@@ -1654,9 +1517,9 @@ std::string RenderWindowLine(const TelemetryWindow& w) {
 
 Result<StatementResult> QueryService::HandleStatsHistory(
     const std::string& rest) {
-  std::string upper = ToUpper(rest);
-  bool json = StartsWith(upper, "JSON");
-  size_t n = ParseCountArg(rest, 0);
+  const bool json = StartsWithWord(ToUpper(rest), "JSON");
+  AQV_ASSIGN_OR_RETURN(size_t n,
+                       ParseCountArg(json ? After(rest, "JSON") : rest, 0));
   StatementResult out;
   if (json) {
     out.message = telemetry_->HistoryJson(n) + "\n";
@@ -1687,7 +1550,7 @@ Result<StatementResult> QueryService::HandleStatsHistory(
 }
 
 Result<StatementResult> QueryService::HandleMonitor(const std::string& rest) {
-  size_t n = ParseCountArg(rest, 10);
+  AQV_ASSIGN_OR_RETURN(size_t n, ParseCountArg(rest, 10));
   if (n == 0) n = 10;
   // A MONITOR is a demand sample: it closes the current window so the
   // dashboard always ends "now", with or without a background sampler.
@@ -1718,7 +1581,7 @@ Result<StatementResult> QueryService::HandleMonitor(const std::string& rest) {
 
 Result<StatementResult> QueryService::HandleAttribution(
     const std::string& rest) const {
-  size_t n = ParseCountArg(rest, 20);
+  AQV_ASSIGN_OR_RETURN(size_t n, ParseCountArg(rest, 20));
   if (n == 0) n = 20;
   std::vector<FingerprintProfile> profiles = FingerprintProfiles();
   uint64_t overflow;
@@ -1731,24 +1594,17 @@ Result<StatementResult> QueryService::HandleAttribution(
                 " fingerprint(s) tracked, " + std::to_string(overflow) +
                 " overflow\n";
   if (profiles.size() > n) profiles.resize(n);
-  char buf[320];
+  char buf[128];
   for (const FingerprintProfile& p : profiles) {
     const QueryStats& t = p.totals;
-    std::snprintf(
-        buf, sizeof(buf),
-        "fp=%016llx n=%llu cache_hits=%llu total=%lluus optimize=%lluus "
-        "exec=%lluus maintain=%lluus wal=%lluus rows=%llu  ",
-        static_cast<unsigned long long>(p.fingerprint),
-        static_cast<unsigned long long>(p.count),
-        static_cast<unsigned long long>(p.cache_hits),
-        static_cast<unsigned long long>(t.total_micros),
-        static_cast<unsigned long long>(t.optimize_micros),
-        static_cast<unsigned long long>(t.exec_micros),
-        static_cast<unsigned long long>(t.maintain_micros),
-        static_cast<unsigned long long>(t.wal_commit_micros),
-        static_cast<unsigned long long>(t.rows_processed));
-    out.message += buf;
-    out.message += p.example + "\n";
+    std::snprintf(buf, sizeof(buf),
+                  "fp=%016llx n=%llu cache_hits=%llu total=%lluus ",
+                  static_cast<unsigned long long>(p.fingerprint),
+                  static_cast<unsigned long long>(p.count),
+                  static_cast<unsigned long long>(p.cache_hits),
+                  static_cast<unsigned long long>(t.total_micros));
+    out.message += buf + t.PhaseText() + " rows=" +
+                   std::to_string(t.rows_processed) + "  " + p.example + "\n";
   }
   return out;
 }
@@ -1888,11 +1744,13 @@ Result<StatementResult> QueryService::HandleCreateView(const std::string& stmt,
   return out;
 }
 
-Result<StatementResult> QueryService::HandleInsert(const std::string& stmt) {
-  Clock::time_point stmt_start = Clock::now();
-  QueryStats qs;
-  AQV_ASSIGN_OR_RETURN(InsertStatement insert, ParseInsert(stmt));
-  qs.parse_micros = ElapsedMicros(stmt_start);
+Result<StatementResult> QueryService::HandleInsert(const std::string& stmt,
+                                                   QueryStats* qs) {
+  InsertStatement insert;
+  {
+    Phase parse(QueryPhase::kParse, qs, write_latency_);
+    AQV_ASSIGN_OR_RETURN(insert, ParseInsert(stmt));
+  }
   const size_t rows = insert.rows.size();
   {
     // An open BEGIN WRITE batch on this thread buffers the rows; COMMIT
@@ -1910,17 +1768,7 @@ Result<StatementResult> QueryService::HandleInsert(const std::string& stmt) {
   }
   Delta delta;
   delta.inserts[insert.table] = std::move(insert.rows);
-  Clock::time_point exec_start = Clock::now();
-  AQV_ASSIGN_OR_RETURN(WriteApplied applied, ApplyWriteDelta(delta, &qs));
-  // The write's "exec" phase is apply minus the attributed sub-phases so
-  // the phases stay disjoint and their sum tracks the wall clock.
-  uint64_t apply_micros = ElapsedMicros(exec_start);
-  uint64_t attributed = qs.maintain_micros + qs.wal_commit_micros;
-  qs.exec_micros = apply_micros > attributed ? apply_micros - attributed : 0;
-  qs.rows_processed += applied.rows;
-  qs.epoch = db_.epoch();
-  qs.total_micros = ElapsedMicros(stmt_start);
-  MaybeRecordSlowStatement(stmt, qs);  // fingerprint 0: writes aggregate only
+  AQV_RETURN_NOT_OK(ApplyWrite(std::move(delta), nullptr, qs).status());
   StatementResult out;
   out.message =
       std::to_string(rows) + " row(s) inserted into " + insert.table + "\n";
@@ -1950,11 +1798,11 @@ std::string PeekDmlTarget(const std::string& stmt, size_t word_index) {
 
 }  // namespace
 
-Result<StatementResult> QueryService::HandleDelete(const std::string& stmt) {
-  Clock::time_point stmt_start = Clock::now();
-  QueryStats qs;
+Result<StatementResult> QueryService::HandleDelete(const std::string& stmt,
+                                                   QueryStats* qs) {
   DeleteStatement del;
   {
+    Phase parse(QueryPhase::kParse, qs, write_latency_);
     // Binding reads the catalog; the statement latch freezes it.
     LatchManager::Guard guard = latches_.StatementShared();
     std::string target = PeekDmlTarget(stmt, 2);  // DELETE FROM <t>
@@ -1964,24 +1812,18 @@ Result<StatementResult> QueryService::HandleDelete(const std::string& stmt) {
     }
     AQV_ASSIGN_OR_RETURN(del, ParseDelete(stmt, &catalog_));
   }
-  qs.parse_micros = ElapsedMicros(stmt_start);
   Mutation mutation;
   mutation.kind = Mutation::Kind::kDelete;
   mutation.table = std::move(del.table);
   mutation.where = std::move(del.where);
-  Result<StatementResult> out = ExecuteMutation(std::move(mutation), &qs);
-  if (out.ok()) {
-    qs.total_micros = ElapsedMicros(stmt_start);
-    MaybeRecordSlowStatement(stmt, qs);
-  }
-  return out;
+  return ExecuteMutation(std::move(mutation), qs);
 }
 
-Result<StatementResult> QueryService::HandleUpdate(const std::string& stmt) {
-  Clock::time_point stmt_start = Clock::now();
-  QueryStats qs;
+Result<StatementResult> QueryService::HandleUpdate(const std::string& stmt,
+                                                   QueryStats* qs) {
   UpdateStatement upd;
   {
+    Phase parse(QueryPhase::kParse, qs, write_latency_);
     LatchManager::Guard guard = latches_.StatementShared();
     std::string target = PeekDmlTarget(stmt, 1);  // UPDATE <t>
     if (!target.empty() && views_.Has(target)) {
@@ -1990,18 +1832,12 @@ Result<StatementResult> QueryService::HandleUpdate(const std::string& stmt) {
     }
     AQV_ASSIGN_OR_RETURN(upd, ParseUpdate(stmt, &catalog_));
   }
-  qs.parse_micros = ElapsedMicros(stmt_start);
   Mutation mutation;
   mutation.kind = Mutation::Kind::kUpdate;
   mutation.table = std::move(upd.table);
   mutation.where = std::move(upd.where);
   mutation.sets = std::move(upd.sets);
-  Result<StatementResult> out = ExecuteMutation(std::move(mutation), &qs);
-  if (out.ok()) {
-    qs.total_micros = ElapsedMicros(stmt_start);
-    MaybeRecordSlowStatement(stmt, qs);
-  }
-  return out;
+  return ExecuteMutation(std::move(mutation), qs);
 }
 
 Result<StatementResult> QueryService::ExecuteMutation(Mutation mutation,
@@ -2017,8 +1853,13 @@ Result<StatementResult> QueryService::ExecuteMutation(Mutation mutation,
     size_t matched = 0;
     Delta staged;
     {
-      LatchManager::Guard guard = latches_.StatementShared();
-      latches_.AcquireShared(&guard, {mutation.table});
+      LatchManager::Guard guard;
+      {
+        Phase latch(QueryPhase::kLatch, qs, write_latency_);
+        guard = latches_.StatementShared();
+        latches_.AcquireShared(&guard, {mutation.table});
+      }
+      Phase exec(QueryPhase::kExec, qs, write_latency_);
       AQV_ASSIGN_OR_RETURN(staged, MaterializeMutation(mutation, db_, &matched));
     }
     std::lock_guard<std::mutex> lock(write_batch_mutex_);
@@ -2041,15 +1882,7 @@ Result<StatementResult> QueryService::ExecuteMutation(Mutation mutation,
                   " (COMMIT to apply)\n";
     return out;
   }
-  Clock::time_point exec_start = Clock::now();
   AQV_ASSIGN_OR_RETURN(WriteApplied applied, ApplyWrite(Delta{}, &mutation, qs));
-  // The write's "exec" phase is apply minus the attributed sub-phases so
-  // the phases stay disjoint and their sum tracks the wall clock.
-  uint64_t apply_micros = ElapsedMicros(exec_start);
-  uint64_t attributed = qs->maintain_micros + qs->wal_commit_micros;
-  qs->exec_micros = apply_micros > attributed ? apply_micros - attributed : 0;
-  qs->rows_processed += applied.rows;
-  qs->epoch = db_.epoch();
   StatementResult out;
   out.message = std::to_string(applied.rows_deleted) + " row(s) " +
                 (is_update ? "updated in " : "deleted from ") + mutation.table +
@@ -2283,20 +2116,16 @@ Result<Delta> QueryService::MaterializeMutation(const Mutation& mutation,
   return out;
 }
 
-Result<QueryService::WriteApplied> QueryService::ApplyWriteDelta(
-    const Delta& delta, QueryStats* stats) {
-  return ApplyWrite(delta, nullptr, stats);
-}
-
 Result<QueryService::WriteApplied> QueryService::ApplyWrite(
-    const Delta& delta, const Mutation* mutation, QueryStats* stats) {
+    Delta delta, const Mutation* mutation, QueryStats* stats) {
   WriteApplied applied;
   if (mutation == nullptr && delta.empty()) return applied;
-  TraceSpan span("write_apply");
   // Backpressure gate BEFORE any latch: a writer stalled here holds
   // nothing, so the auto-checkpointer's exclusive ddl acquisition (which
   // shrinks the WAL and releases the stall) can always proceed.
-  AQV_RETURN_NOT_OK(WaitOutBackpressure());
+  AQV_RETURN_NOT_OK(WaitOutBackpressure(stats));
+  // The latch phase covers deciding the footprint as well as waiting on it.
+  Phase latch(QueryPhase::kLatch, stats, write_latency_);
   LatchManager::Guard guard = latches_.StatementShared();
 
   // Validate targets and collect the written table names. The error verb
@@ -2349,21 +2178,26 @@ Result<QueryService::WriteApplied> QueryService::ApplyWrite(
   std::sort(reads.begin(), reads.end());
   reads.erase(std::unique(reads.begin(), reads.end()), reads.end());
   latches_.AcquireWrite(&guard, writes, reads);
-  if (span.active()) {
-    span.AddAttr("tables", static_cast<uint64_t>(written.size()));
-    span.AddAttr("dependents", static_cast<uint64_t>(dependents.size()));
+  if (latch.span().active()) {
+    latch.span().AddAttr("tables", static_cast<uint64_t>(written.size()));
+    latch.span().AddAttr("dependents",
+                         static_cast<uint64_t>(dependents.size()));
   }
+  latch.End();
+  stats->epoch = db_.epoch();
 
-  // Materialize a DML mutation now, under the acquired write latches: the
+  // Exec covers materializing, validating, the COW apply and the publish;
+  // the maintain and wal_commit scopes nested in it charge their own time.
+  Phase exec(QueryPhase::kExec, stats, write_latency_);
+  // Owned inside the scope, so freeing the delta's rows is exec time. A DML
+  // mutation is materialized now, under the acquired write latches: the
   // WHERE predicate runs against the exact table version the delta will be
   // applied to, so the matched multiset cannot race a concurrent writer.
-  Delta mutated;
+  Delta effective = std::move(delta);
   if (mutation != nullptr) {
-    size_t matched = 0;
-    AQV_ASSIGN_OR_RETURN(mutated,
-                         MaterializeMutation(*mutation, db_, &matched));
+    AQV_ASSIGN_OR_RETURN(effective,
+                         MaterializeMutation(*mutation, db_, nullptr));
   }
-  const Delta& effective = mutation != nullptr ? mutated : delta;
   for (const auto& [name, rows] : effective.inserts) {
     applied.rows_inserted += rows.size();
   }
@@ -2371,6 +2205,7 @@ Result<QueryService::WriteApplied> QueryService::ApplyWrite(
     applied.rows_deleted += rows.size();
   }
   applied.rows = applied.rows_inserted + applied.rows_deleted;
+  stats->rows_processed += applied.rows;
 
   // A delete the base (plus this batch's inserts) cannot cover is rejected
   // before anything is staged, logged or published.
@@ -2400,8 +2235,11 @@ Result<QueryService::WriteApplied> QueryService::ApplyWrite(
   // delta in where the maintainer supports the view's shape, recompute from
   // the staged bases otherwise. db_ still holds the pre-delta state the
   // maintainer differences against.
-  Clock::time_point maintain_start = Clock::now();
   std::vector<std::string> recomputed;
+  std::optional<Phase> maintain;
+  if (!dependents.empty()) {
+    maintain.emplace(QueryPhase::kMaintain, stats, write_latency_);
+  }
   for (const DependentView& d : dependents) {
     AQV_ASSIGN_OR_RETURN(const ViewDef* def, views_.Get(d.name));
     bool maintained = false;
@@ -2439,11 +2277,7 @@ Result<QueryService::WriteApplied> QueryService::ApplyWrite(
       recomputed.push_back(d.name);
     }
   }
-  uint64_t maintain_micros = ElapsedMicros(maintain_start);
-  if (!dependents.empty()) {
-    maintain_latency_.Record(maintain_micros);
-  }
-  if (stats != nullptr) stats->maintain_micros += maintain_micros;
+  maintain.reset();
 
   // The durability point: the delta is WAL-appended and fsynced BEFORE the
   // in-memory publication, so a commit the client saw acknowledged always
@@ -2452,6 +2286,7 @@ Result<QueryService::WriteApplied> QueryService::ApplyWrite(
   // the ack), recovery replays it atomically; the client simply never
   // learned its fate, which is the usual commit-ack contract.
   if (storage_ != nullptr) {
+    Phase wal_commit(QueryPhase::kWalCommit, stats, write_latency_);
     AQV_RETURN_NOT_OK(storage_->LogCommit(effective, stats));
   }
 
@@ -2571,10 +2406,11 @@ void QueryService::AutoCheckpointLoop() {
   }
 }
 
-Status QueryService::WaitOutBackpressure() {
+Status QueryService::WaitOutBackpressure(QueryStats* qs) {
   if (storage_ == nullptr || !storage_->OverBackpressureCap()) {
     return Status::OK();
   }
+  Phase stall(QueryPhase::kWalCommit, qs, write_latency_);
   storage_backpressure_waits_->Increment();
   checkpoint_cv_.notify_all();  // kick the checkpointer now, not next poll
   Clock::time_point deadline =

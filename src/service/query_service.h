@@ -41,17 +41,18 @@ struct ServiceOptions {
   /// global reader/writer latch (the bench's baseline); more stripes let
   /// writes to disjoint tables proceed in parallel.
   size_t latch_stripes = LatchManager::kDefaultStripes;
-  /// SELECTs slower than this end up in the slow-query log (statement,
-  /// fingerprint, parse/optimize/execute breakdown; see SLOWLOG). 0 disables.
+  /// Reads and writes slower than this end up in the slow-query log
+  /// (statement, fingerprint, per-phase breakdown; see SLOWLOG). 0 disables.
   uint64_t slow_query_micros = 0;
   /// Bound on the slow-query log; older entries are dropped first.
   size_t slow_query_log_capacity = 64;
 
   // ---- Resource governance (see README "Resource limits & degradation").
-  /// Per-SELECT deadline, microseconds from statement start; 0 disables.
-  /// Exceeding it returns kDeadlineExceeded with all latches released.
+  /// Per-read deadline (SELECT, EXPLAIN, EXPLAIN ANALYZE), microseconds
+  /// from statement start; 0 disables. Exceeding it returns
+  /// kDeadlineExceeded with all latches released.
   uint64_t statement_deadline_micros = 0;
-  /// Per-SELECT budget on rows processed across all operators (the work and
+  /// Per-read budget on rows processed across all operators (the work and
   /// intermediate-size proxy); 0 disables. Exceeding it returns
   /// kResourceExhausted.
   size_t statement_row_budget = 0;
@@ -187,7 +188,7 @@ struct ServiceStats {
   uint64_t plan_cache_invalidated = 0;  // entries dropped by write hooks
   uint64_t rewrites_applied = 0;   // chosen plan uses a materialized view
   uint64_t rewrites_skipped = 0;   // original plan kept
-  uint64_t slow_queries = 0;       // SELECTs over ServiceOptions::slow_query_micros
+  uint64_t slow_queries = 0;       // statements over slow_query_micros
   uint64_t snapshots_pinned = 0;   // BEGIN SNAPSHOT + PinSnapshot() calls
   uint64_t snapshot_reads = 0;     // SELECTs served from a pinned snapshot
   uint64_t admission_rejects = 0;  // statements rejected SERVER_BUSY
@@ -259,22 +260,12 @@ struct ServiceStats {
   std::string ToString() const;
 };
 
-/// One statement that exceeded ServiceOptions::slow_query_micros: the
-/// statement text, its canonical fingerprint (ir/fingerprint.h) for grouping
-/// repeats and joining against plan-cache stats, the database epoch it ran
-/// against, and the per-stage wall-time breakdown (write stages are 0 for
-/// SELECTs and vice versa).
-struct SlowQueryRecord {
+/// One statement that exceeded ServiceOptions::slow_query_micros: its
+/// whole QueryStats — canonical fingerprint (ir/fingerprint.h, 0 for
+/// writes) for grouping repeats, the database epoch it ran against, the
+/// cache flag and the per-phase breakdown — plus the statement text.
+struct SlowQueryRecord : QueryStats {
   std::string statement;
-  uint64_t fingerprint = 0;  // 0 for write statements
-  uint64_t epoch = 0;        // database epoch the statement ran against
-  uint64_t parse_micros = 0;
-  uint64_t optimize_micros = 0;  // 0 on a plan-cache hit
-  uint64_t exec_micros = 0;
-  uint64_t maintain_micros = 0;    // view maintenance (writes)
-  uint64_t wal_commit_micros = 0;  // WAL append + fsync (writes, durable)
-  uint64_t total_micros = 0;
-  bool cache_hit = false;
 };
 
 /// An embeddable, thread-safe query service over the aqv library: it owns a
@@ -348,7 +339,8 @@ class QueryService {
   /// Executes a SELECT against a pinned snapshot: plans fresh (the plan
   /// cache tracks current state, not the snapshot's) and reads only the
   /// pinned table versions. Takes no service latches; any number of threads
-  /// may read one snapshot concurrently.
+  /// may read one snapshot concurrently. Enters through Execute's front
+  /// door: the same length cap, admission control and error counting.
   Result<Table> Select(const std::string& sql, const ServiceSnapshot& snapshot);
 
   /// Replaces the service's catalog, database and view registry wholesale
@@ -389,13 +381,29 @@ class QueryService {
   std::vector<FingerprintProfile> FingerprintProfiles() const;
 
  private:
-  Result<StatementResult> Dispatch(const std::string& stmt,
-                                   const std::string& upper);
+  /// The statement front door behind Execute and Select(sql, snapshot):
+  /// length cap, admission, the root span, error counting, and the slow
+  /// log / profile for statements that ran against an epoch. With a
+  /// `snapshot` the statement must be a SELECT and reads that snapshot.
+  Result<StatementResult> RunStatement(const std::string& statement,
+                                       const ServiceSnapshot* snapshot);
 
-  // Row-read statements: ddl shared + footprint stripes shared.
-  Result<StatementResult> HandleSelect(const std::string& stmt);
-  Result<StatementResult> HandleExplain(const std::string& select_stmt);
-  Result<StatementResult> HandleExplainAnalyze(const std::string& select_stmt);
+  Result<StatementResult> Dispatch(const std::string& stmt,
+                                   const std::string& upper, QueryStats* qs);
+
+  /// What a read renders: the rows, the plan (EXPLAIN, not executed), or
+  /// the executed plan with its profile and attribution (EXPLAIN ANALYZE).
+  enum class ReadMode { kRows, kExplain, kAnalyze };
+
+  /// The one read pipeline behind SELECT, EXPLAIN and EXPLAIN ANALYZE:
+  /// parse, quarantine check, latch, plan, execute (with the degraded
+  /// retry), counters. The source is `snapshot` when given, else the
+  /// calling thread's BEGIN SNAPSHOT pin, else live state — which reads
+  /// under the ddl latch shared plus the footprint stripes shared and plans
+  /// through the plan cache; snapshots take no latch and plan fresh.
+  Result<StatementResult> HandleRead(const std::string& sql, ReadMode mode,
+                                     const ServiceSnapshot* snapshot,
+                                     QueryStats* qs);
   Result<StatementResult> HandleTrace(const std::string& stmt);
   Result<StatementResult> HandleFailpoint(const std::string& stmt);
   Result<StatementResult> HandleSlowLog() const;
@@ -414,17 +422,20 @@ class QueryService {
 
   // Row-write statements: ddl shared + written stripes (and those of every
   // dependent materialized view) exclusive.
-  Result<StatementResult> HandleInsert(const std::string& stmt);
+  Result<StatementResult> HandleInsert(const std::string& stmt,
+                                       QueryStats* qs);
   /// DELETE FROM t [WHERE ...]: the predicate is evaluated against the
   /// current epoch *inside* the write latches (so the matched multiset is
   /// exactly what the delta removes), then the delete delta rides the same
   /// transactional path as INSERT. Inside BEGIN WRITE the rows matching the
   /// committed state are buffered into the batch instead.
-  Result<StatementResult> HandleDelete(const std::string& stmt);
+  Result<StatementResult> HandleDelete(const std::string& stmt,
+                                       QueryStats* qs);
   /// UPDATE t SET col = expr, ... [WHERE ...]: materialized as a
   /// delete+insert delta (old rows out, transformed rows in), published at
   /// one epoch like every other write.
-  Result<StatementResult> HandleUpdate(const std::string& stmt);
+  Result<StatementResult> HandleUpdate(const std::string& stmt,
+                                       QueryStats* qs);
   Result<StatementResult> HandleRefresh(const std::string& name);
 
   /// CHECKPOINT: flushes a full shadow-paged checkpoint and truncates the
@@ -449,8 +460,9 @@ class QueryService {
   /// sleeps (kicking the checkpointer) until the cap clears or the deadline
   /// passes, then returns a clean SERVER_BUSY-style kUnavailable. Called
   /// before any latch is taken — stalling while holding stripes would
-  /// deadlock against the checkpointer's exclusive ddl acquisition.
-  Status WaitOutBackpressure();
+  /// deadlock against the checkpointer's exclusive ddl acquisition. A stall
+  /// is charged to `qs`'s wal_commit phase.
+  Status WaitOutBackpressure(QueryStats* qs);
 
   /// kUnavailable with the stored reason if any of `names` is quarantined.
   Status CheckTableQuarantine(const std::vector<std::string>& names) const;
@@ -484,7 +496,7 @@ class QueryService {
   /// The plan cache as storage images (LRU first; see PlanCache::Snapshot).
   std::vector<PlanImage> CollectPlanImages() const;
 
-  /// What one ApplyWriteDelta call changed, for acks and metrics. Inserted
+  /// What one ApplyWrite call changed, for acks and metrics. Inserted
   /// and deleted rows are counted separately (an UPDATE of n rows is n
   /// deletes plus n inserts); `rows` keeps the combined total for callers
   /// that only want magnitude.
@@ -508,7 +520,7 @@ class QueryService {
     std::vector<Assignment> sets;    // kUpdate only
   };
 
-  /// The transactional write path shared by single-statement INSERT and
+  /// The transactional write path shared by INSERT, DELETE, UPDATE and
   /// BEGIN WRITE..COMMIT: validates the delta, grows the latch footprint to
   /// every dependent materialized view, copies each written base table once
   /// (however many rows the delta carries), brings every dependent view
@@ -517,15 +529,13 @@ class QueryService {
   /// plus views as ONE COW version swap at a single epoch (Database::PutAll),
   /// so snapshot readers never observe a table/view mismatch. Any failure
   /// before the swap leaves the published state untouched.
-  Result<WriteApplied> ApplyWriteDelta(const Delta& delta,
-                                       QueryStats* stats = nullptr);
-
-  /// ApplyWriteDelta's general form: when `mutation` is non-null, its WHERE
-  /// is evaluated under the acquired write latches to materialize the
-  /// delete (+ insert, for UPDATE) delta, which then flows through the same
-  /// validate/maintain/log/publish sequence as `delta`. Exactly one of
-  /// `delta`-with-rows or `mutation` is the payload.
-  Result<WriteApplied> ApplyWrite(const Delta& delta, const Mutation* mutation,
+  ///
+  /// When `mutation` is non-null, its WHERE is evaluated under the acquired
+  /// write latches to materialize the delete (+ insert, for UPDATE) delta,
+  /// which then flows through the same sequence. Exactly one of
+  /// `delta`-with-rows or `mutation` is the payload. Time is charged to
+  /// `stats` through the latch, exec, maintain and wal_commit phases.
+  Result<WriteApplied> ApplyWrite(Delta delta, const Mutation* mutation,
                                   QueryStats* stats);
 
   /// Evaluates `mutation` against the table version in `db` (no latches
@@ -567,15 +577,12 @@ class QueryService {
   // Snapshot / write-batch statement dialect (per calling thread).
   Result<StatementResult> HandleBeginSnapshot();
   Result<StatementResult> HandleBeginWrite();
-  Result<StatementResult> HandleCommit();
+  Result<StatementResult> HandleCommit(QueryStats* qs);
   Result<StatementResult> HandleRollback();
   /// The snapshot pinned by BEGIN SNAPSHOT on the calling thread, or null.
   ServiceSnapshotPtr ThreadSnapshot() const;
   /// True if the calling thread has an open BEGIN WRITE batch.
   bool ThreadHasWriteBatch() const;
-  /// SELECT against `snap` with full metrics/slow-log accounting.
-  Result<StatementResult> SelectOnSnapshot(const std::string& stmt,
-                                           const ServiceSnapshot& snap);
 
   /// The latch footprint of `query`: its transitive FROM closure plus every
   /// materialized view the rewriter could substitute into it (and that
@@ -583,17 +590,17 @@ class QueryService {
   /// catalog, views and database table-set are frozen while computing.
   std::vector<std::string> SelectFootprint(const Query& query) const;
 
-  /// Optimizes `query` through the plan cache (lookup, else optimize and
-  /// insert). Caller must hold the ddl latch shared plus the query's
-  /// footprint stripes (at least shared). `optimize_micros` (optional)
-  /// receives the optimizer wall time — 0 on a cache hit. `ctx` (optional)
-  /// bounds candidate enumeration by the statement deadline. When the
-  /// optimizer itself fails and degradation is enabled, returns an
-  /// uncached entry holding the unrewritten query and sets `*degraded`.
-  Result<PlanCache::EntryPtr> PlanThroughCache(
-      const Query& query, bool* cache_hit,
-      uint64_t* optimize_micros = nullptr, ExecContext* ctx = nullptr,
-      bool* degraded = nullptr);
+  /// Plans `query`. Live state (`snapshot` null) goes through the plan
+  /// cache — lookup, else optimize and insert — and the caller must hold
+  /// the ddl latch shared plus the query's footprint stripes (at least
+  /// shared). A snapshot always optimizes fresh: the cache tracks current
+  /// state, not the pinned epoch. `ctx` bounds candidate enumeration by the
+  /// statement deadline. When the optimizer itself fails and degradation is
+  /// enabled, returns an uncached entry holding the unrewritten query and
+  /// sets `out->degraded`; `out->cache_hit` reports a cache hit.
+  Result<PlanCache::EntryPtr> PlanQuery(const Query& query,
+                                        const ServiceSnapshot* snapshot,
+                                        ExecContext* ctx, StatementResult* out);
 
   /// Admission control (ServiceOptions::max_concurrent_statements): blocks
   /// up to admission_wait_micros for a slot, then kUnavailable.
@@ -609,17 +616,11 @@ class QueryService {
   std::vector<std::string> QuarantinedViews() const;
   void ClearViewFailures(const std::string& view);
 
-  /// Appends to the bounded slow-query log (thread-safe).
-  void RecordSlowQuery(SlowQueryRecord record);
-
-  /// Folds one statement's QueryStats into its fingerprint aggregate
-  /// (thread-safe; bounded by ServiceOptions::attribution_capacity).
-  void RecordStatementProfile(const std::string& stmt, const QueryStats& qs);
-
-  /// Builds the slow-log record for a statement from its attribution and
-  /// appends it when over the threshold (no-op when slow_query_micros is 0
-  /// or the statement was fast enough).
-  void MaybeRecordSlowStatement(const std::string& stmt, const QueryStats& qs);
+  /// Appends the statement to the bounded slow-query log when it is over
+  /// ServiceOptions::slow_query_micros, and folds a read's QueryStats into
+  /// its fingerprint aggregate (bounded by attribution_capacity).
+  /// Thread-safe.
+  void RecordAttribution(const std::string& stmt, const QueryStats& qs);
 
   /// Recomputes the named view's contents into db_. Caller holds latches
   /// covering the view (exclusive) and its dependencies (at least shared);
@@ -721,9 +722,10 @@ class QueryService {
   Counter& views_recomputed_;
   Gauge& cache_size_gauge_;
   Gauge& cache_capacity_gauge_;
-  LatencyHistogram& optimize_latency_;
-  LatencyHistogram& exec_latency_;
-  LatencyHistogram& maintain_latency_;
+  /// Phase histograms: reads record into service.<phase>_latency, writes
+  /// into service.write_<phase>_latency (see kPhaseNames).
+  PhaseLatencies read_latency_{};
+  PhaseLatencies write_latency_{};
 
   /// Storage metric handles, valid only while storage_ is set (they live in
   /// metrics_ and are shared with the engine, which bumps them).

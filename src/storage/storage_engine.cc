@@ -866,61 +866,49 @@ void StorageEngine::ClearQuarantinedTable(const std::string& name) {
 }
 
 Status StorageEngine::LogCommit(const Delta& delta, QueryStats* stats) {
-  Clock::time_point commit_start = Clock::now();
-  uint64_t my_end = 0;
-  Status result = [&]() -> Status {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (wal_ == nullptr) {
-      return Status::Unavailable("storage engine has no wal attached");
-    }
-    // Group fail-stop check BEFORE the append: a failed leader fsync
-    // poisons the group state but not the writer itself (its appended
-    // bytes are intact), so without this a refused commit's record would
-    // still land in the file, survive the close, and replay at recovery
-    // as a row no client was ever acked for.
-    {
-      std::lock_guard<std::mutex> group_lock(group_mu_);
-      if (group_failed_) {
-        return Status::Unavailable(
-            "wal writer failed earlier; restart and recover before "
-            "committing");
-      }
-    }
-    std::string payload;
-    PutFixed64(&payload, last_seq_ + 1);
-    EncodeDelta(delta, &payload);
-    Status appended = wal_->Append(payload);
-    if (stats != nullptr && appended.ok()) {
-      stats->wal_bytes += wal_->last_record_bytes();
-    }
-    AQV_RETURN_NOT_OK(appended);
-    ++last_seq_;
-    my_end = wal_->size_bytes();
-    // Publish how far the log extends only AFTER the write syscall
-    // returned: a group leader's acquire-load then never claims bytes
-    // that are not fully in the file.
-    wal_appended_offset_.store(my_end, std::memory_order_release);
-    wal_appended_records_.fetch_add(1, std::memory_order_relaxed);
-    if (wal_size_gauge_ != nullptr) {
-      wal_size_gauge_->Set(static_cast<int64_t>(my_end));
-    }
-    if (!options_.fsync_wal) return Status::OK();
-    if (!options_.group_commit) {
-      // PR 6 behavior (and the group-commit bench baseline): this commit
-      // pays its own fsync, serialized under the engine mutex.
-      return wal_->Sync();
-    }
-    lock.unlock();
-    return SyncWalGroup(my_end);
-  }();
-  if (stats != nullptr) {
-    // Charged even on failure: the statement paid for the attempt.
-    stats->wal_commit_micros += static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                              commit_start)
-            .count());
+  std::unique_lock<std::mutex> lock(mu_);
+  if (wal_ == nullptr) {
+    return Status::Unavailable("storage engine has no wal attached");
   }
-  return result;
+  // Group fail-stop check BEFORE the append: a failed leader fsync
+  // poisons the group state but not the writer itself (its appended
+  // bytes are intact), so without this a refused commit's record would
+  // still land in the file, survive the close, and replay at recovery
+  // as a row no client was ever acked for.
+  {
+    std::lock_guard<std::mutex> group_lock(group_mu_);
+    if (group_failed_) {
+      return Status::Unavailable(
+          "wal writer failed earlier; restart and recover before "
+          "committing");
+    }
+  }
+  std::string payload;
+  PutFixed64(&payload, last_seq_ + 1);
+  EncodeDelta(delta, &payload);
+  Status appended = wal_->Append(payload);
+  if (stats != nullptr && appended.ok()) {
+    stats->wal_bytes += wal_->last_record_bytes();
+  }
+  AQV_RETURN_NOT_OK(appended);
+  ++last_seq_;
+  const uint64_t my_end = wal_->size_bytes();
+  // Publish how far the log extends only AFTER the write syscall
+  // returned: a group leader's acquire-load then never claims bytes
+  // that are not fully in the file.
+  wal_appended_offset_.store(my_end, std::memory_order_release);
+  wal_appended_records_.fetch_add(1, std::memory_order_relaxed);
+  if (wal_size_gauge_ != nullptr) {
+    wal_size_gauge_->Set(static_cast<int64_t>(my_end));
+  }
+  if (!options_.fsync_wal) return Status::OK();
+  if (!options_.group_commit) {
+    // PR 6 behavior (and the group-commit bench baseline): this commit
+    // pays its own fsync, serialized under the engine mutex.
+    return wal_->Sync();
+  }
+  lock.unlock();
+  return SyncWalGroup(my_end);
 }
 
 Status StorageEngine::SyncWalGroup(uint64_t my_end) {

@@ -197,8 +197,8 @@ class StorageEngine {
   /// Call at the PutAll commit point, after validation, before publication.
   /// On ANY failure the WAL is fail-stopped: every later LogCommit refuses
   /// with kUnavailable until the process restarts and recovers.
-  /// When `stats` is non-null the commit's append+fsync time and record
-  /// bytes are charged to it (per-statement cost attribution).
+  /// When `stats` is non-null the record's bytes are charged to it; the
+  /// caller's wal_commit Phase charges the time.
   Status LogCommit(const Delta& delta, QueryStats* stats = nullptr);
 
   /// Writes a full shadow-paged checkpoint of (catalog, views, db, plans)

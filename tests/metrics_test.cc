@@ -43,6 +43,15 @@ TEST(LatencyHistogramTest, SingleSample) {
   }
 }
 
+TEST(LatencyHistogramTest, SingleSamplePercentilesClampToTheExactMax) {
+  LatencyHistogram h;
+  h.Record(48);  // bucket [32, 63]: its upper edge lies above the sample
+  EXPECT_EQ(h.max_micros(), 48u);
+  EXPECT_EQ(h.PercentileMicros(0.5), 48.0);
+  EXPECT_EQ(h.PercentileMicros(0.99), 48.0);
+  EXPECT_EQ(h.PercentileMicros(1.0), 48.0);
+}
+
 TEST(LatencyHistogramTest, SubMicrosecondSamplesLandInBucketZero) {
   LatencyHistogram h;
   h.Record(0);

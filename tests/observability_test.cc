@@ -153,6 +153,35 @@ TEST(AttributionTest, ExplainAnalyzePhaseSumTracksWallTime) {
   EXPECT_GE(rows, 250ll * 250ll) << "cross product rows must be attributed";
 }
 
+TEST(AttributionTest, DurableWritePhaseSumTracksWallTime) {
+  // A durable INSERT that maintains a SUM view passes every write phase:
+  // parse, latch, exec, maintain and wal_commit. Each is charged by its own
+  // scope, so the SLOWLOG record's phase sum holds the same 10% bound as a
+  // read's EXPLAIN ANALYZE.
+  ServiceOptions options;
+  options.storage_path = FreshPath("write_attribution.db");
+  options.slow_query_micros = 1;  // everything is slow
+  QueryService service(options);
+  ASSERT_TRUE(service.storage_status().ok())
+      << service.storage_status().ToString();
+  ExecuteOrDie(service, "CREATE TABLE R(A, B)");
+  ExecuteOrDie(service,
+               "CREATE MATERIALIZED VIEW V AS SELECT A_1, SUM(B_1) FROM R "
+               "GROUPBY A_1");
+  ExecuteOrDie(service, BulkInsert("R", 4000));
+
+  std::vector<SlowQueryRecord> log = service.SlowQueries();
+  ASSERT_FALSE(log.empty());
+  const SlowQueryRecord& write = log.back();
+  ASSERT_NE(write.statement.find("INSERT"), std::string::npos);
+  ASSERT_GT(write.total_micros, 1000u) << "write too fast to validate";
+  uint64_t phases = write.PhaseSumMicros();
+  EXPECT_GE(phases, write.total_micros * 9 / 10) << write.PhaseText();
+  EXPECT_LE(phases, write.total_micros) << write.PhaseText();
+  EXPECT_GT(write.micros(QueryPhase::kWalCommit), 0u) << write.PhaseText();
+  EXPECT_GT(write.micros(QueryPhase::kMaintain), 0u) << write.PhaseText();
+}
+
 TEST(AttributionTest, FingerprintProfilesAggregateAcrossRepeats) {
   QueryService service;
   ExecuteOrDie(service, "CREATE TABLE R(A, B)");
@@ -168,7 +197,7 @@ TEST(AttributionTest, FingerprintProfilesAggregateAcrossRepeats) {
   EXPECT_EQ(profiles[0].cache_hits, 2u);
   EXPECT_GT(profiles[0].totals.total_micros, 0u);
   EXPECT_GE(profiles[0].totals.total_micros,
-            profiles[0].totals.exec_micros);
+            profiles[0].totals.micros(QueryPhase::kExec));
   EXPECT_NE(profiles[0].example.find("SELECT"), std::string::npos);
 
   std::string text = ExecuteOrDie(service, "STATS ATTRIBUTION").message;
@@ -212,7 +241,8 @@ TEST(AttributionTest, SlowLogCarriesEpochCacheFlagAndWriteBreakdown) {
   EXPECT_NE(write.statement.find("INSERT"), std::string::npos);
   EXPECT_GT(write.epoch, 0u);
   EXPECT_GE(write.total_micros,
-            write.maintain_micros + write.wal_commit_micros);
+            write.micros(QueryPhase::kMaintain) +
+                write.micros(QueryPhase::kWalCommit));
 
   const SlowQueryRecord& cold = log[log.size() - 2];
   const SlowQueryRecord& warm = log[log.size() - 1];
@@ -276,7 +306,9 @@ TEST(StorageObservabilityTest, StorageStackMetricsFlowThroughStats) {
     // The write slow-log entries carry the WAL commit slice.
     bool saw_wal_commit = false;
     for (const SlowQueryRecord& r : service.SlowQueries()) {
-      if (r.fingerprint == 0 && r.wal_commit_micros > 0) saw_wal_commit = true;
+      if (r.fingerprint == 0 && r.micros(QueryPhase::kWalCommit) > 0) {
+        saw_wal_commit = true;
+      }
     }
     EXPECT_TRUE(saw_wal_commit);
 

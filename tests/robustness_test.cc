@@ -213,6 +213,48 @@ TEST(RobustnessTest, ServiceTakesInt64MinLiteralsAndRefusesOnePast) {
   EXPECT_EQ(all.num_rows(), 2u);
 }
 
+// Statement keywords must end at a word boundary, and a trailing count must
+// be a count: each input below used to run a statement it only resembles.
+class KeywordBoundaryTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_OK(service_.Execute("CREATE TABLE T(A, B)").status());
+    ASSERT_OK(service_.Execute("CREATE MATERIALIZED VIEW V AS SELECT A_1, "
+                               "SUM(B_1) FROM T GROUPBY A_1")
+                  .status());
+  }
+
+  void ExpectRefused(const std::string& sql) {
+    Result<StatementResult> r = service_.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql << " ran: " << r->message;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << sql << ": " << r.status().ToString();
+  }
+
+  QueryService service_;
+};
+
+TEST_F(KeywordBoundaryTest, RefreshGluedToAViewNameIsRefused) {
+  ExpectRefused("REFRESHV");
+}
+
+TEST_F(KeywordBoundaryTest, WhyGluedToAWordIsRefused) {
+  ExpectRefused("WHYNOT SELECT A_1 FROM T");
+}
+
+TEST_F(KeywordBoundaryTest, MonitorWithASuffixIsRefused) {
+  ExpectRefused("MONITORING");
+}
+
+TEST_F(KeywordBoundaryTest, StatsHistoryWithASuffixIsRefused) {
+  ExpectRefused("STATS HISTORYX");
+}
+
+TEST_F(KeywordBoundaryTest, StatsAttributionRefusesANonCountTail) {
+  ExpectRefused("STATS ATTRIBUTION abc");
+  EXPECT_OK(service_.Execute("STATS ATTRIBUTION 5").status());
+}
+
 TEST(RobustnessTest, GovernedServiceSurvivesFuzzedStatements) {
   // Fuzzed statements through a service running with every governance
   // limit tightened (statement cap, row budget, short deadline) must all

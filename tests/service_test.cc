@@ -516,7 +516,7 @@ TEST(ServiceObservabilityTest, SlowQueryLogCapturesBreakdown) {
     EXPECT_NE(r.fingerprint, 0u);
     EXPECT_GE(r.total_micros, 1u);
     EXPECT_GE(r.total_micros,
-              r.exec_micros);  // breakdown is within the total
+              r.micros(QueryPhase::kExec));  // breakdown is within the total
     EXPECT_GT(r.epoch, 0u);    // records the epoch the statement saw
   }
   // Repeats of one fingerprint group: same statement twice -> same fp.
@@ -741,6 +741,85 @@ TEST(ServiceWritePathTest, InsertHardeningRejectsDegenerates) {
   int64_t total = 0;
   for (const Row& row : sales.rows()) total += row[1].int64();
   EXPECT_EQ(total, 4);  // 3 seed rows + the one negative insert
+}
+
+// SELECT, EXPLAIN and EXPLAIN ANALYZE share one read pipeline, so the
+// governance and the snapshot a SELECT sees bind EXPLAIN ANALYZE too.
+std::string InsertRows(int from, int to) {
+  std::string sql = "INSERT INTO T VALUES ";
+  for (int i = from; i < to; ++i) {
+    if (i > from) sql += ", ";
+    sql += "(" + std::to_string(i % 7) + ", " + std::to_string(i) + ")";
+  }
+  return sql;
+}
+
+TEST(ServiceReadPipelineTest, ExplainAnalyzeHonorsTheRowBudget) {
+  ServiceOptions options;
+  options.statement_row_budget = 50;
+  QueryService service(options);
+  ExecuteOrDie(service, "CREATE TABLE T(A, B)");
+  ExecuteOrDie(service, InsertRows(0, 200));
+  const std::string query = "SELECT A_1, SUM(B_1) FROM T GROUPBY A_1";
+  Result<StatementResult> select = service.Execute(query);
+  ASSERT_FALSE(select.ok());
+  EXPECT_EQ(select.status().code(), StatusCode::kResourceExhausted);
+  Result<StatementResult> analyze = service.Execute("EXPLAIN ANALYZE " + query);
+  ASSERT_FALSE(analyze.ok()) << analyze->message;
+  EXPECT_EQ(analyze.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(ServiceReadPipelineTest, ExplainAnalyzeInsideSnapshotReadsThePin) {
+  QueryService service;
+  ExecuteOrDie(service, "CREATE TABLE T(A, B)");
+  ExecuteOrDie(service, "INSERT INTO T VALUES (1, 1)");
+  ExecuteOrDie(service, "BEGIN SNAPSHOT");
+  std::thread writer([&] {
+    ExecuteOrDie(service, "INSERT INTO T VALUES (2, 2), (3, 3)");
+  });
+  writer.join();
+  StatementResult rows = ExecuteOrDie(service, "SELECT A_1 FROM T");
+  ASSERT_TRUE(rows.table.has_value());
+  EXPECT_EQ(rows.table->num_rows(), 1u);
+  std::string analyzed =
+      ExecuteOrDie(service, "EXPLAIN ANALYZE SELECT A_1 FROM T").message;
+  EXPECT_NE(analyzed.find("result: 1 row(s)"), std::string::npos) << analyzed;
+  ExecuteOrDie(service, "COMMIT");
+  analyzed = ExecuteOrDie(service, "EXPLAIN ANALYZE SELECT A_1 FROM T").message;
+  EXPECT_NE(analyzed.find("result: 3 row(s)"), std::string::npos) << analyzed;
+}
+
+TEST(ServiceReadPipelineTest, SnapshotSelectEntersThroughTheFrontDoor) {
+  ServiceOptions options;
+  options.max_statement_bytes = 40;
+  QueryService service(options);
+  ExecuteOrDie(service, "CREATE TABLE T(A, B)");
+  ExecuteOrDie(service, "INSERT INTO T VALUES (1, 1)");
+  ServiceSnapshotPtr snap = service.PinSnapshot();
+  const std::string overlong =
+      "SELECT A_1, B_1 FROM T WHERE A_1 = 1 AND B_1 = 1";  // > 40 bytes
+  ASSERT_GT(overlong.size(), 40u);
+  EXPECT_EQ(service.Execute(overlong).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.Select(overlong, *snap).status().code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_OK_AND_ASSIGN(Table rows, service.Select("SELECT A_1 FROM T", *snap));
+  EXPECT_EQ(rows.num_rows(), 1u);
+}
+
+TEST(ServiceReadPipelineTest, SnapshotSelectErrorsAreCounted) {
+  QueryService service;
+  ExecuteOrDie(service, "CREATE TABLE T(A, B)");
+  ServiceSnapshotPtr snap = service.PinSnapshot();
+  Result<Table> bad = service.Select("SELECT nope FROM T", *snap);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().ToString().find("nope"), std::string::npos)
+      << bad.status().ToString();
+  uint64_t errors = 0;
+  for (const auto& [code, count] : service.Stats().errors_by_code) {
+    errors += count;
+  }
+  EXPECT_EQ(errors, 1u);
 }
 
 }  // namespace
